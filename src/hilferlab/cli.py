@@ -83,12 +83,10 @@ def cmd_check(args) -> int:
     report = build_hypothesis_report(
         cfg.problem, delta=cfg.solve.bielecki_delta, seed=cfg.seed
     )
-    theta, best_bielecki, certificate, cert_delta = certify_contraction(cfg.problem)
+    certificate = certify_contraction(cfg.problem)[2]
     print(f"theta (sup psi' variant)      = {_fmt(report.theta)}")
     print(f"theta (inf psi' variant)      = {_fmt(report.theta_inf_variant)}")
     print(f"bielecki lhs at delta={_fmt(report.delta_used)}: {_fmt(report.bielecki_lhs)}")
-    print(f"best bielecki over delta grid = {_fmt(best_bielecki)}"
-          + (f" (delta={_fmt(cert_delta)})" if cert_delta is not None else ""))
     print(f"zeta sup / inf                = {_fmt(report.zeta)} / {_fmt(report.zeta_inf)}")
     lip_f, lip_h = report.lipschitz_spot_check
     print(f"lipschitz spot check f / h    = {_fmt(lip_f)} / {_fmt(lip_h)}"
@@ -117,15 +115,12 @@ def cmd_solve(args) -> int:
     traj = result.trajectory
     grid = traj.grid
     psi = cfg.problem.psi
-    gamma = cfg.problem.order.gamma
 
     header = ["t", "psi_t", "weighted_u", "u", "residual_iter_count"]
     rows: list[list] = []
     for t, u in zip(grid.history_nodes, traj.history_values):
         rows.append([float(t), float(psi.fn(t)), None, float(u), result.iterations])
-    x_int = np.asarray(psi.shifted(grid.nodes[1:]), dtype=float)
-    unweight = np.ones_like(x_int) if gamma == 1.0 else x_int ** (gamma - 1.0)
-    u_int = traj.weighted_values * unweight
+    u_int = traj.unweight(traj.weighted_values)
     for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
         rows.append([float(t), float(psi.fn(t)), float(w), float(u), result.iterations])
     ext = "json" if cfg.out_format == "json" else "csv"
@@ -145,22 +140,14 @@ def cmd_stability(args) -> int:
     if not cfg.perturbations:
         raise ConfigError("stability run needs at least one perturbation "
                           "([stability] shapes/epsilons)")
-    grid = make_grid(
-        cfg.problem.psi,
-        cfg.problem.b,
-        cfg.solve.grid_size,
-        cfg.problem.r,
-        history_size=cfg.solve.history_size,
-        uniform_in=cfg.solve.grid_uniform_in,
-    )
-    base = solve(cfg.problem, cfg.solve, grid=grid)
+    base = solve(cfg.problem, cfg.solve)
     ext = "json" if cfg.out_format == "json" else "csv"
     header = ["shape", "epsilon", "c_theoretical", "c_empirical", "passed", "kappa_used"]
     rows: list[list] = []
     all_converged = base.converged
     caveat_shown = False
     for pert in cfg.perturbations:
-        report = verify_uhml(cfg.problem, pert, cfg.solve, grid=grid, base=base)
+        report = verify_uhml(cfg.problem, pert, cfg.solve, base=base)
         all_converged = all_converged and report.converged
         if report.envelope_caveat and not caveat_shown:
             print("note: psi(b)-psi(0) < 1, where the mean-value bounds behind "
@@ -198,8 +185,8 @@ def _power_hint(sigma: float):
     return sigma if (sigma != 1.0 and sigma < 2.0) else None
 
 
-def _power_samples(psi, grid, sigma: float) -> np.ndarray:
-    x = np.asarray(psi.shifted(grid.nodes), dtype=float)
+def _power_samples(grid, sigma: float) -> np.ndarray:
+    x = grid.x
     out = np.zeros_like(x)
     out[1:] = x[1:] ** (sigma - 1.0)
     out[0] = 1.0 if sigma == 1.0 else 0.0
@@ -208,13 +195,13 @@ def _power_samples(psi, grid, sigma: float) -> np.ndarray:
 
 def _identity_errors(psi, n: int) -> dict[str, float]:
     grid = make_grid(psi, 1.0, n, 0.5)
-    x = np.asarray(psi.shifted(grid.nodes), dtype=float)
+    x = grid.x
     errs: dict[str, float] = {}
 
     worst = 0.0
     for alpha in _VERIFY_ALPHAS:
         for sigma in _VERIFY_SIGMAS:
-            samples = _power_samples(psi, grid, sigma)
+            samples = _power_samples(grid, sigma)
             got = frac_integral_grid(alpha, psi, samples, grid, _power_hint(sigma))
             ref = power_rule_reference(alpha, sigma, psi, grid.nodes)
             worst = max(worst, _sup_rel_error(got[1:], ref[1:]))
@@ -222,7 +209,7 @@ def _identity_errors(psi, n: int) -> dict[str, float]:
 
     worst = 0.0
     for sigma in (0.875, 1.25, 2.0):
-        samples = _power_samples(psi, grid, sigma)
+        samples = _power_samples(grid, sigma)
         inner = frac_integral_grid(0.4, psi, samples, grid, _power_hint(sigma))
         got = frac_integral_grid(0.3, psi, inner, grid, _power_hint(sigma + 0.4))
         ref = frac_integral_grid(0.7, psi, samples, grid, _power_hint(sigma))

@@ -24,7 +24,8 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,9 +40,6 @@ from .psi_calculus import (
     trajectory_values,
 )
 from .special_functions import gamma as gamma_fn
-
-#: Damping values scanned when Theta fails and a certifying delta is sought.
-_DELTA_SEARCH = (0.0,) + tuple(np.logspace(-3.0, 2.0, 21))
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ class SolveResult:
     theta: float
     bielecki_lhs: float
     certified_by: Optional[str] = None
-    certifying_delta: Optional[float] = None
     warning: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -130,20 +127,8 @@ class _Workspace:
         order = problem.order
         self.gamma = order.gamma
         self.t_int = grid.nodes[1:]
-        x = np.asarray(problem.psi.shifted(grid.nodes), dtype=float)
-        self.x_full = x.copy()
-        self.x_full[0] = 0.0
-        self.x_int = self.x_full[1:]
-        self.unweight = (
-            np.ones_like(self.x_int)
-            if self.gamma == 1.0
-            else self.x_int ** (self.gamma - 1.0)
-        )
-        self.weight = (
-            np.ones_like(self.x_int)
-            if self.gamma == 1.0
-            else self.x_int ** (1.0 - self.gamma)
-        )
+        self.x_int = grid.x[1:]
+        self.weight = self.x_int ** (1.0 - self.gamma)
         self.g_int = np.asarray(problem.g(self.t_int), dtype=float)
         self.g_origin = float(np.asarray(problem.g(0.0), dtype=float))
         lo = float(grid.history_nodes[0])
@@ -158,34 +143,11 @@ class _Workspace:
         # at the origin, u(0+) is finite, and the node-0 sample is real data.
         self.origin_hint = None if (self.gamma == 1.0 or problem.u0 == 0.0) else self.gamma
 
-    def u_of(self, w0: float, w: np.ndarray, hist: np.ndarray) -> Callable:
-        """Vectorized evaluator of the current iterate on [-r, b]."""
-        x_nodes = self.x_full
-        w_nodes = np.concatenate(([w0], w))
-        hist_t = self.grid.history_nodes
-        gamma = self.gamma
-        psi = self.problem.psi
-
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            times = np.asarray(times, dtype=float)
-            out = np.empty_like(times)
-            past = times <= 0.0
-            if np.any(past):
-                out[past] = np.interp(times[past], hist_t, hist)
-            future = ~past
-            if np.any(future):
-                xq = np.asarray(psi.shifted(times[future]), dtype=float)
-                wq = np.interp(xq, x_nodes, w_nodes)
-                out[future] = wq if gamma == 1.0 else wq * xq ** (gamma - 1.0)
-            return out
-
-        return evaluate
-
-    def rhs_samples(self, w0: float, w: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    def rhs_samples(self, traj: Trajectory) -> np.ndarray:
         """F_u sampled at all grid nodes for the current iterate."""
         problem = self.problem
-        u_nodes = w * self.unweight
-        u_of = self.u_of(w0, w, hist)
+        u_nodes = traj.unweight(traj.weighted_values)
+        u_of = traj.evaluator(problem.psi)
         u_delayed = u_of(self.g_int)
         if problem.h_kernel is None:
             inner = np.zeros_like(self.t_int)
@@ -202,19 +164,19 @@ class _Workspace:
         samples = np.empty(self.grid.nodes.size)
         samples[1:] = np.broadcast_to(f_vals, self.t_int.shape)
         if self.origin_hint is None:
-            u_origin = w0 if self.gamma == 1.0 else 0.0
+            u_origin = traj.initial_weight if self.gamma == 1.0 else 0.0
             u_origin_delayed = float(u_of(np.array([self.g_origin]))[0])
             samples[0] = float(problem.f(0.0, u_origin, u_origin_delayed, 0.0))
         else:
             samples[0] = 0.0  # unused: the origin panel is modelled, not sampled
         return samples
 
-    def sweep(self, w0: float, w: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    def sweep(self, traj: Trajectory) -> np.ndarray:
         """One application of the integral-equation fixed-point map."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = self.rhs_samples(w0, w, hist)
+            samples = self.rhs_samples(traj)
         if not np.all(np.isfinite(samples)):
             raise DivergenceError("iterate produced a non-finite right-hand side")
         integral = frac_integral_grid(
@@ -233,14 +195,12 @@ def eval_F(
     if s > traj.grid.horizon + 1e-12:
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
 
-    def u_of(times):
-        return np.atleast_1d(trajectory_values(traj, problem.psi, times))
-
+    u_of = partial(trajectory_values, traj, problem.psi)
     gs = float(np.asarray(problem.g(s), dtype=float))
     if gs < -problem.r - 1e-12 * max(1.0, problem.r):
         raise DelayRangeError(f"g({s}) = {gs} below the history window [-{problem.r}, 0]")
-    u_s = float(u_of(s)[0])
-    u_gs = float(u_of(gs)[0])
+    u_s = float(u_of(s))
+    u_gs = float(u_of(gs))
     if problem.h_kernel is None:
         inner = 0.0
     else:
@@ -256,14 +216,7 @@ def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> T
             f"{problem.order.gamma!r}"
         )
     ws = _Workspace(problem, traj.grid, subdivisions=config.inner_quad_nodes)
-    w_new = ws.sweep(traj.initial_weight, traj.weighted_values, traj.history_values)
-    return Trajectory(
-        grid=traj.grid,
-        weighted_values=w_new,
-        initial_weight=ws.w_init,
-        history_values=traj.history_values,
-        gamma=traj.gamma,
-    )
+    return replace(traj, weighted_values=ws.sweep(traj), initial_weight=ws.w_init)
 
 
 def _residual_norm(
@@ -285,26 +238,17 @@ def _geometric_ratio(residuals: list[float]) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def certify_contraction(problem: DelayFFIDE) -> tuple[float, float, Optional[str], Optional[float]]:
-    """Evaluate Theta and scan the damping grid for a certifying delta.
+def certify_contraction(problem: DelayFFIDE) -> tuple[float, float, Optional[str]]:
+    """Evaluate Theta and the Bielecki left side at delta = 0.
 
-    Returns (theta, best bielecki value, certificate name or None,
-    certifying delta or None). The Bielecki left side is nondecreasing in
-    delta, so in practice delta = 0 decides; the scan is kept because the
-    damped norm is the stated widening device.
+    Returns (theta, bielecki value, "theta" or None). The Bielecki left
+    side grows with delta and equals Theta at delta = 0, so no damping
+    certifies a problem that Theta leaves uncertified; the value is
+    reported as a diagnostic.
     """
     theta = check_theta(problem)
-    best_value = math.inf
-    best_delta = None
-    for delta in _DELTA_SEARCH:
-        value = float(check_bielecki(problem, float(delta)))
-        if value < best_value:
-            best_value, best_delta = value, float(delta)
-    if theta < 1.0:
-        return theta, best_value, "theta", None
-    if best_value < 1.0:
-        return theta, best_value, "bielecki", best_delta
-    return theta, best_value, None, None
+    bielecki = float(check_bielecki(problem, 0.0))
+    return theta, bielecki, ("theta" if theta < 1.0 else None)
 
 
 def solve(
@@ -336,36 +280,34 @@ def solve(
         grid.history_nodes.shape,
     ).astype(float)
 
-    theta, bielecki_value, certificate, cert_delta = certify_contraction(problem)
+    theta, bielecki_value, certificate = certify_contraction(problem)
     warning = None
     if certificate is None:
         warning = (
-            f"contraction uncertified: theta={theta:.6g} >= 1 and the damped "
-            f"condition stays >= 1 on the searched delta grid; proceeding best-effort"
+            f"contraction uncertified: theta={theta:.6g} >= 1, and the damped "
+            f"condition is no smaller at any delta; proceeding best-effort"
         )
 
-    w0 = ws.w_init
-    w = np.full(grid.n_intervals, w0)
+    traj = Trajectory(
+        grid=grid,
+        weighted_values=np.full(grid.n_intervals, ws.w_init),
+        initial_weight=ws.w_init,
+        history_values=hist,
+        gamma=problem.order.gamma,
+    )
     residuals: list[float] = []
     converged = False
     for _ in range(config.max_iter):
-        w_next = ws.sweep(w0, w, hist)
+        w_next = ws.sweep(traj)
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError("fixed-point iterate left float64 range")
-        res = _residual_norm(w_next - w, ws.x_int, config)
+        res = _residual_norm(w_next - traj.weighted_values, ws.x_int, config)
         residuals.append(res)
-        w = w_next
+        traj = replace(traj, weighted_values=w_next)
         if res <= config.tol:
             converged = True
             break
 
-    traj = Trajectory(
-        grid=grid,
-        weighted_values=w,
-        initial_weight=w0,
-        history_values=hist,
-        gamma=problem.order.gamma,
-    )
     return SolveResult(
         trajectory=traj,
         residual_history=residuals,
@@ -375,6 +317,5 @@ def solve(
         theta=theta,
         bielecki_lhs=bielecki_value,
         certified_by=certificate,
-        certifying_delta=cert_delta,
         warning=warning,
     )

@@ -26,7 +26,7 @@ mutable state, deterministic results, safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -39,9 +39,6 @@ from .special_functions import gamma as _gamma
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem_model import FractionalOrder
-
-#: Relative tolerance for detecting uniform spacing in x.
-_UNIFORM_RTOL = 1e-12
 
 #: Rows per block in the general (non-uniform) quadrature path.
 _BLOCK_ROWS = 256
@@ -89,14 +86,22 @@ class PsiFunction:
 
 @dataclass(frozen=True)
 class Grid:
-    """Solution grid on [0, b] plus a history grid covering [-r, 0].
+    """Solution grid on [0, b] with its psi coordinates, plus a history grid on [-r, 0].
 
-    ``nodes`` must start at exactly 0 and increase strictly;
-    ``history_nodes`` must increase strictly and end at exactly 0.
+    ``nodes`` must start at exactly 0 and increase strictly. ``x`` holds
+    ``psi(t) - psi(0)`` at the nodes, so it has one entry per node, starts
+    at exactly 0 and increases strictly. ``history_nodes`` must increase
+    strictly and end at exactly 0.
+
+    ``psi_uniform`` is derived, never set: it holds when ``x`` is bit for
+    bit ``np.linspace(0, x[-1], N + 1)``. Grids built uniform in psi always
+    satisfy it, and so do identity-psi grids built uniform in t.
     """
 
     nodes: np.ndarray
     history_nodes: np.ndarray
+    x: Optional[np.ndarray] = None
+    psi_uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -115,6 +120,18 @@ class Grid:
             raise GridError(f"history grid must end at t=0, got {hist[-1]!r}")
         if not np.all(np.diff(hist) > 0.0):
             raise GridError("history nodes must be strictly increasing")
+        if self.x is None:
+            raise GridError("grid needs its x = psi(t) - psi(0) coordinates")
+        x = np.asarray(self.x, dtype=float)
+        object.__setattr__(self, "x", x)
+        if x.shape != nodes.shape:
+            raise GridError(f"x has shape {x.shape}, the nodes {nodes.shape}")
+        if x[0] != 0.0:
+            raise GridError(f"x must start at 0, got {x[0]!r}")
+        if not np.all(np.diff(x) > 0.0):
+            raise GridError("psi must be strictly increasing across the grid nodes")
+        uniform = np.array_equal(x, np.linspace(0.0, x[-1], x.size))
+        object.__setattr__(self, "psi_uniform", uniform)
 
     @property
     def n_intervals(self) -> int:
@@ -146,14 +163,15 @@ def make_grid(
     if uniform_in not in ("psi", "t"):
         raise GridError(f"uniform_in must be 'psi' or 't', got {uniform_in!r}")
     if uniform_in == "t":
-        nodes = np.linspace(0.0, b, n + 1)
+        t = np.linspace(0.0, b, n + 1)
+        x = np.asarray(psi.shifted(t), dtype=float)
     else:
         x = np.linspace(0.0, float(psi.shifted(b)), n + 1)
-        nodes = np.asarray(psi.invert_shifted(x, bracket=(0.0, b)), dtype=float)
-        nodes[0], nodes[-1] = 0.0, b  # pin endpoints against inversion roundoff
+        t = np.asarray(psi.invert_shifted(x, bracket=(0.0, b)), dtype=float)
+        t[0], t[-1] = 0.0, b  # pin endpoints against inversion roundoff
     hist = np.linspace(-r, 0.0, history_size + 1)
     hist[-1] = 0.0
-    return Grid(nodes=nodes, history_nodes=hist)
+    return Grid(nodes=t, history_nodes=hist, x=x)
 
 
 @dataclass
@@ -193,32 +211,50 @@ class Trajectory:
         if not np.all(np.isfinite(self.history_values)):
             raise ValueError("history_values must be finite")
 
+    def unweight(self, weighted: np.ndarray) -> np.ndarray:
+        """Raw values ``weighted * x^(gamma-1)`` of weighted data at the interior nodes."""
+        return weighted * self.grid.x[1:] ** (self.gamma - 1.0)
+
+    def evaluator(self, psi: PsiFunction) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized u(t) for arrays of times in [-r, b].
+
+        For t <= 0 the stored history is interpolated linearly in t. For
+        t > 0 the weighted values are interpolated linearly in x and then
+        unweighted by ``x^(gamma-1)``; for gamma < 1 this correctly blows
+        up as t -> 0+. The node arrays are assembled once, here, so one
+        evaluator serves any number of calls.
+        """
+        x_nodes = self.grid.x
+        w_nodes = np.concatenate(([self.initial_weight], self.weighted_values))
+        hist_t, hist = self.grid.history_nodes, self.history_values
+        gamma = self.gamma
+
+        def evaluate(times: np.ndarray) -> np.ndarray:
+            times = np.asarray(times, dtype=float)
+            out = np.empty_like(times)
+            past = times <= 0.0
+            if np.any(past):
+                out[past] = np.interp(times[past], hist_t, hist)
+            future = ~past
+            if np.any(future):
+                xq = np.asarray(psi.shifted(times[future]), dtype=float)
+                wq = np.interp(xq, x_nodes, w_nodes)
+                # gamma == 1 skips a power on every call of the per-node Volterra loop
+                out[future] = wq if gamma == 1.0 else wq * xq ** (gamma - 1.0)
+            return out
+
+        return evaluate
+
 
 def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
-    """Evaluate u(t) anywhere on [-r, b].
-
-    For t <= 0 the stored history is interpolated linearly in t. For
-    t > 0 the weighted values are interpolated linearly in x and then
-    unweighted by ``x^(gamma-1)``; for gamma < 1 this correctly blows up
-    as t -> 0+.
-    """
+    """Evaluate u(t) anywhere on [-r, b] (see :meth:`Trajectory.evaluator`)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t_arr)
     lo = float(traj.grid.history_nodes[0])
     if np.any(t_arr < lo - 1e-12 * max(1.0, abs(lo))):
         raise DelayRangeError(
             f"time {t_arr.min()} below the covered history window [{lo}, 0]"
         )
-    past = t_arr <= 0.0
-    if np.any(past):
-        out[past] = np.interp(t_arr[past], traj.grid.history_nodes, traj.history_values)
-    future = ~past
-    if np.any(future):
-        x_nodes = np.concatenate(([0.0], np.asarray(psi.shifted(traj.grid.nodes[1:]), dtype=float)))
-        w_nodes = np.concatenate(([traj.initial_weight], traj.weighted_values))
-        xq = np.asarray(psi.shifted(t_arr[future]), dtype=float)
-        w = np.interp(xq, x_nodes, w_nodes)
-        out[future] = w if traj.gamma == 1.0 else w * xq ** (traj.gamma - 1.0)
+    out = traj.evaluator(psi)(t_arr)
     return out if np.ndim(t) else out[0]
 
 
@@ -329,7 +365,11 @@ def frac_integral_grid(
     Returns the product-integration approximation of I^{alpha;psi} of the
     sampled function at all grid nodes; the value at t=0 is exactly 0.
     The scheme is exact whenever the integrand is piecewise linear in
-    x = psi(t) - psi(0).
+    x = psi(t) - psi(0), which is read from ``grid.x``; ``psi`` must be
+    the transform the grid was built with (checked exactly at the last
+    node), else :class:`GridError`. When ``grid.psi_uniform`` holds, the
+    weights are translation invariant and the integral is a convolution;
+    otherwise the panels are summed blockwise at O(N^2) cost.
 
     ``origin_exponent=rho`` declares that the integrand behaves like
     ``x^(rho-1)`` times a smooth factor near the origin (``rho`` in
@@ -349,13 +389,11 @@ def frac_integral_grid(
     if origin_exponent is not None and not (0.0 < origin_exponent < 2.0):
         raise ValueError(f"origin_exponent must lie in (0, 2), got {origin_exponent!r}")
 
-    x = np.asarray(psi.shifted(grid.nodes), dtype=float)
-    if not np.all(np.diff(x) > 0.0):
-        raise GridError("psi must be strictly increasing across the grid nodes")
-
-    h = np.diff(x)
-    if np.allclose(h, h[0], rtol=_UNIFORM_RTOL, atol=0.0):
-        out = _product_trapezoid_uniform(alpha, float(h.mean()), w)
+    x = grid.x
+    if psi.shifted(grid.horizon) != x[-1]:
+        raise GridError("psi does not match the grid's x coordinates")
+    if grid.psi_uniform:
+        out = _product_trapezoid_uniform(alpha, float(np.diff(x).mean()), w)
     else:
         out = _product_trapezoid_general(alpha, x, w)
 
@@ -422,7 +460,7 @@ def hilfer_derivative_grid(
     hint_out: Optional[float] = None
     if origin_exponent is not None:
         mu = origin_exponent - 1.0 + inner_order
-        x = np.asarray(psi.shifted(grid.nodes), dtype=float)
+        x = grid.x
         # factor stage = x^mu * v; the quadrature's artificial 0 at node 0
         # never enters because v there is extrapolated
         v = stage.copy() if mu == 0.0 else stage * np.where(x > 0.0, x, 1.0) ** (-mu)
@@ -447,8 +485,6 @@ def weighted_norm(gamma: float, psi: PsiFunction, traj: Trajectory) -> float:
         raise ValueError(
             f"trajectory carries gamma={traj.gamma!r}, norm requested gamma={gamma!r}"
         )
-    if traj.weighted_values.size == 0:
-        return abs(traj.initial_weight)
     return max(abs(traj.initial_weight), float(np.max(np.abs(traj.weighted_values))))
 
 
@@ -460,8 +496,5 @@ def bielecki_norm(gamma: float, delta: float, psi: PsiFunction, traj: Trajectory
         raise ValueError(
             f"trajectory carries gamma={traj.gamma!r}, norm requested gamma={gamma!r}"
         )
-    x = np.asarray(psi.shifted(traj.grid.nodes[1:]), dtype=float)
-    damped = np.exp(-delta * x) * np.abs(traj.weighted_values)
-    if damped.size == 0:
-        return abs(traj.initial_weight)
+    damped = np.exp(-delta * traj.grid.x[1:]) * np.abs(traj.weighted_values)
     return max(abs(traj.initial_weight), float(np.max(damped)))

@@ -20,7 +20,7 @@ parallel; each experiment is deterministic given its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -88,16 +88,8 @@ def ml_envelope(alpha: float, psi, t) -> np.ndarray:
     return mittag_leffler_values(MlfParams(alpha=alpha, beta=1.0), x ** alpha)
 
 
-@dataclass
-class _RealizedPerturbation:
-    times: np.ndarray
-    envelope: np.ndarray
-    values: np.ndarray
-    forcing: Callable
-
-
-def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> _RealizedPerturbation:
-    """Sample the realized forcing at the interior nodes and wrap it."""
+def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> tuple[DelayFFIDE, np.ndarray]:
+    """The problem with the realized forcing added to f, and the envelope at the interior nodes."""
     t_int = grid.nodes[1:]
     envelope = ml_envelope(problem.order.alpha, problem.psi, t_int)
     if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
@@ -106,11 +98,12 @@ def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> _RealizedPe
     values = pert.epsilon * shape * envelope
     if np.any(np.abs(values) > pert.epsilon * envelope * (1.0 + 1e-12)):
         raise AssertionError("realized perturbation violates its admissibility envelope")
+    base_f = problem.f
 
-    def forcing(t):
-        return np.interp(np.asarray(t, dtype=float), t_int, values)
+    def f_plus_forcing(t, u1, u2, u3):
+        return base_f(t, u1, u2, u3) + np.interp(np.asarray(t, dtype=float), t_int, values)
 
-    return _RealizedPerturbation(times=t_int, envelope=envelope, values=values, forcing=forcing)
+    return replace(problem, f=f_plus_forcing), envelope
 
 
 def perturbed_problem(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> DelayFFIDE:
@@ -120,13 +113,7 @@ def perturbed_problem(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> De
     equation by I^{alpha;psi} of the forcing (the operator is linear),
     and it keeps u0 and the history untouched.
     """
-    realized = _realize(pert, problem, grid)
-    base_f = problem.f
-
-    def f_plus_forcing(t, u1, u2, u3):
-        return base_f(t, u1, u2, u3) + realized.forcing(t)
-
-    return replace(problem, f=f_plus_forcing)
+    return _realize(pert, problem, grid)[0]
 
 
 def uhml_constant(problem: DelayFFIDE, *, kappa: Optional[float] = None) -> float:
@@ -208,32 +195,26 @@ def verify_uhml(
     deviation there is exactly zero (the envelope is replaced by 1 for
     those nodes, the numerator being identically zero). Passing means the
     maximum ratio does not exceed the theoretical constant.
+
+    The grid is the base solution's. Without ``base`` the base problem is
+    solved first, on ``grid`` or else on the grid the config describes; a
+    ``grid`` that differs from a given base's raises GridMismatchError.
     """
-    if grid is None:
-        grid = make_grid(
-            problem.psi,
-            problem.b,
-            config.grid_size,
-            problem.r,
-            history_size=config.history_size,
-            uniform_in=config.grid_uniform_in,
-        )
     if base is None:
         base = solve(problem, config, grid=grid)
-    elif base.trajectory.grid is not grid and not (
+    elif grid is not None and base.trajectory.grid is not grid and not (
         np.array_equal(base.trajectory.grid.nodes, grid.nodes)
         and np.array_equal(base.trajectory.grid.history_nodes, grid.history_nodes)
     ):
         raise GridMismatchError("base solution was computed on a different grid")
+    u = base.trajectory
+    grid = u.grid
 
-    perturbed = solve(perturbed_problem(pert, problem, grid), config, grid=grid)
-    u, v = base.trajectory, perturbed.trajectory
+    forced, envelope = _realize(pert, problem, grid)
+    perturbed = solve(forced, config, grid=grid)
+    v = perturbed.trajectory
 
-    x_int = np.asarray(problem.psi.shifted(grid.nodes[1:]), dtype=float)
-    gamma = problem.order.gamma
-    unweight = np.ones_like(x_int) if gamma == 1.0 else x_int ** (gamma - 1.0)
-    deviation = np.abs(v.weighted_values - u.weighted_values) * unweight
-    envelope = ml_envelope(problem.order.alpha, problem.psi, grid.nodes[1:])
+    deviation = u.unweight(np.abs(v.weighted_values - u.weighted_values))
     ratio_interior = deviation / (pert.epsilon * envelope)
 
     hist_deviation = np.abs(v.history_values - u.history_values)

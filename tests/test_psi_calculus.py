@@ -16,6 +16,7 @@ from hilferlab import (
     hilfer_derivative_grid,
     make_grid,
     power_rule_reference,
+    psi_calculus,
     trajectory_values,
     weighted_norm,
 )
@@ -59,18 +60,66 @@ class TestGrid:
         assert np.allclose(np.diff(x), np.diff(x)[0], rtol=1e-9)
 
     @pytest.mark.parametrize(
-        "nodes,history",
+        "nodes,history,x",
         [
-            ([0.0, 1.0], [-1.0, 0.0]),                 # too few nodes
-            ([0.1, 0.5, 1.0], [-1.0, 0.0]),            # does not start at 0
-            ([0.0, 0.5, 0.4], [-1.0, 0.0]),            # not increasing
-            ([0.0, 0.5, 1.0], [-1.0, -0.1]),           # history not ending at 0
-            ([0.0, 0.5, 1.0], [0.0]),                  # too short history
+            # too few nodes
+            pytest.param([0.0, 1.0], [-1.0, 0.0], [0.0, 1.0], id="nodes0-history0"),
+            # does not start at 0
+            pytest.param([0.1, 0.5, 1.0], [-1.0, 0.0], [0.0, 0.4, 0.9], id="nodes1-history1"),
+            # not increasing
+            pytest.param([0.0, 0.5, 0.4], [-1.0, 0.0], [0.0, 0.5, 1.0], id="nodes2-history2"),
+            # history not ending at 0
+            pytest.param([0.0, 0.5, 1.0], [-1.0, -0.1], [0.0, 0.5, 1.0], id="nodes3-history3"),
+            # too short history
+            pytest.param([0.0, 0.5, 1.0], [0.0], [0.0, 0.5, 1.0], id="nodes4-history4"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], None, id="x-missing"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], [0.1, 0.5, 1.0], id="x-not-at-0"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], [0.0, 1.0], id="x-too-short"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], [0.0, 0.6, 0.5], id="x-decreasing"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], [0.0, 0.5, 0.5], id="x-repeated"),
+            pytest.param([0.0, 0.5, 1.0], [-1.0, 0.0], [0.0, np.nan, 1.0], id="x-nan"),
         ],
     )
-    def test_invalid_grids(self, nodes, history):
+    def test_invalid_grids(self, nodes, history, x):
         with pytest.raises(GridError):
-            Grid(nodes=np.array(nodes), history_nodes=np.array(history))
+            Grid(nodes=np.array(nodes), history_nodes=np.array(history),
+                 x=None if x is None else np.array(x))
+
+    def test_psi_uniform_is_exact(self):
+        identity, exponential = ORACLE_PSIS["identity"], ORACLE_PSIS["exponential"]
+        for uniform_in in ("psi", "t"):
+            assert make_grid(identity, 1.0, 16000, 0.5, uniform_in=uniform_in).psi_uniform
+        assert make_grid(exponential, 1.0, 64, 0.5).psi_uniform
+        assert not make_grid(exponential, 1.0, 64, 0.5, uniform_in="t").psi_uniform
+        x = np.linspace(0.0, 1.0, 65)
+        x[7] = np.nextafter(x[7], 2.0)  # one ulp off the linspace is not uniform
+        assert not Grid(nodes=x, history_nodes=np.array([-1.0, 0.0]), x=x).psi_uniform
+
+    @pytest.mark.parametrize("n", [4000, 8000, 16000])
+    @pytest.mark.parametrize("psi_name", sorted(catalog.PSI_CATALOG))
+    def test_catalog_grids_take_uniform_path(self, psi_name, n, monkeypatch):
+        psi = catalog.make_psi(psi_name)
+        grid = make_grid(psi, 1.0, n, 0.5)
+        assert grid.psi_uniform
+
+        def refuse(*args):
+            raise AssertionError("psi-uniform grid entered the general quadrature path")
+
+        monkeypatch.setattr(psi_calculus, "_product_trapezoid_general", refuse)
+        out = frac_integral_grid(0.5, psi, np.ones_like(grid.nodes), grid)
+        # I^{1/2}[1] = x^(1/2) / Gamma(3/2), exact for constant data
+        assert out[-1] == pytest.approx(grid.x[-1] ** 0.5 / 0.886226925452758, rel=1e-10)
+
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    @pytest.mark.parametrize("psi_name", sorted(catalog.PSI_CATALOG))
+    def test_psi_must_match_grid(self, psi_name, uniform_in):
+        psi = catalog.make_psi(psi_name)
+        other = catalog.make_psi("exponential" if psi_name == "identity" else "identity")
+        grid = make_grid(psi, 1.0, 50, 0.5, uniform_in=uniform_in)
+        ones = np.ones_like(grid.nodes)
+        frac_integral_grid(0.5, psi, ones, grid)
+        with pytest.raises(GridError):
+            frac_integral_grid(0.5, other, ones, grid)
 
 
 class TestFracIntegral:
@@ -128,6 +177,17 @@ class TestFracIntegral:
             got = frac_integral_grid(0.3, psi, inner, grid, power_hint(sigma + 0.4))
             ref = frac_integral_grid(0.7, psi, samples, grid, power_hint(sigma))
             assert np.max(np.abs(got - ref)) <= 5e-3 * np.max(np.abs(ref))
+
+    def test_uniform_and_general_paths_agree(self):
+        psi = ORACLE_PSIS["exponential"]
+        grid = make_grid(psi, 1.0, 2000, 0.5)
+        x = grid.x
+        for alpha in (0.25, 0.5, 0.9):
+            for w in (1.0 + x + np.cos(2.0 * x), np.sqrt(x)):
+                uniform = psi_calculus._product_trapezoid_uniform(
+                    alpha, float(np.diff(x).mean()), w)
+                general = psi_calculus._product_trapezoid_general(alpha, x, w)
+                assert sup_rel(uniform, general) <= 1e-13
 
     def test_nonuniform_grid_path(self):
         # uniform-in-t nodes under a nonlinear psi exercise the general panel sum
