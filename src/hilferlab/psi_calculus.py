@@ -20,8 +20,13 @@ lets the quadrature integrate such data by modelling the integrand as
 ``x^(rho-1)`` times a piecewise-linear factor on the panels nearest the
 origin.
 
-Everything here is a pure function of immutable inputs: no shared
-mutable state, deterministic results, safe to call concurrently.
+Every function here is deterministic and safe to call concurrently. The
+one piece of state is a memo on each :class:`Grid`: the grid-only part of
+the fractional integral (the kernel spectra of the convolution path and
+the origin-correction weights) is built on first use for each
+``(alpha, rho)`` and reused by every later call on that grid, as a Picard
+solve does once per sweep. The memo is a pure function of the grid and
+the key, so a race between threads only computes the same value twice.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import brentq
 from scipy.special import beta as _scipy_beta
 from scipy.special import betainc as _betainc
@@ -84,7 +90,7 @@ class PsiFunction:
         return float(d.min()), float(d.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Solution grid on [0, b] with its psi coordinates, plus a history grid on [-r, 0].
 
@@ -96,12 +102,17 @@ class Grid:
     ``psi_uniform`` is derived, never set: it holds when ``x`` is bit for
     bit ``np.linspace(0, x[-1], N + 1)``. Grids built uniform in psi always
     satisfy it, and so do identity-psi grids built uniform in t.
+
+    A grid equals only itself: two grids with the same nodes are distinct
+    objects, each with its own memo of quadrature weights (see
+    :func:`frac_integral_grid`). Compare the arrays to compare contents.
     """
 
     nodes: np.ndarray
     history_nodes: np.ndarray
     x: Optional[np.ndarray] = None
     psi_uniform: bool = field(init=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -274,83 +285,113 @@ def _panel_moments(alpha: float, a: np.ndarray, b: np.ndarray):
     return m0, m1
 
 
-def _product_trapezoid_uniform(alpha: float, h: float, w: np.ndarray) -> np.ndarray:
-    """Translation-invariant weights on a uniform x-grid, via convolution."""
-    n = w.size - 1
+def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """FFT length and rfft spectra of the two kernels of the uniform-grid quadrature.
+
+    On a uniform x-grid of spacing h the weights are translation invariant:
+
+      I_i = h^a [ sum_{j<i} w_j (P0-P1)(i-j)  +  sum_{1<=j<=i} w_j P1(i-j+1) ]
+
+    with P0, P1 the panel moments at unit spacing, so both sums are linear
+    convolutions, computed without wraparound at a fast length >= 2N+1.
+    """
     d = np.arange(0, n + 1, dtype=float)
     da = d ** alpha
     da1 = d ** (alpha + 1.0)
-    p0 = np.empty(n + 1)
-    p1 = np.empty(n + 1)
-    p0[0] = p1[0] = 0.0
-    p0[1:] = (da[1:] - da[:-1]) / alpha
-    p1[1:] = d[1:] * p0[1:] - (da1[1:] - da1[:-1]) / (alpha + 1.0)
-    # I_i = h^a [ sum_{j<i} w_j (P0-P1)(i-j)  +  sum_{1<=j<=i} w_j P1(i-j+1) ]
-    left = np.convolve(w, np.concatenate(([0.0], p0[1:] - p1[1:])))[: n + 1]
-    w_shift = w.copy()
-    w_shift[0] = 0.0
-    right = np.convolve(w_shift, p1[1:])[: n + 1]
-    return h ** alpha * (left + right)
+    p0 = (da[1:] - da[:-1]) / alpha  # P0(1..n)
+    p1 = d[1:] * p0 - (da1[1:] - da1[:-1]) / (alpha + 1.0)  # P1(1..n)
+    size = next_fast_len(2 * n + 1, real=True)
+    scale = h ** alpha
+    left = rfft(scale * np.concatenate(([0.0], p0 - p1)), size)
+    right = rfft(scale * p1, size)
+    return size, left, right
+
+
+def _product_trapezoid_uniform(
+    spectra: tuple[int, np.ndarray, np.ndarray], w: np.ndarray
+) -> np.ndarray:
+    """Uniform-grid quadrature: one rfft/irfft pair against the kernel spectra."""
+    size, left, right = spectra
+    ws = rfft(w, size)
+    # the second sum skips w_0, and the spectrum of w_0 at index 0 is w_0 everywhere
+    return irfft(ws * left + (ws - w[0]) * right, size)[: w.size]
 
 
 def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Blockwise panel summation for non-uniform x-grids."""
+    """Blockwise panel summation for non-uniform x-grids.
+
+    A block of rows reaches only the panels left of its last node, and the
+    powers of each endpoint distance serve the two panels that share it.
+    A panel right of a row has both distances clamped to 0, so it adds 0.
+    """
     n = x.size - 1
-    h = np.diff(x)
-    slope = np.diff(w) / h
+    slope = np.diff(w) / np.diff(x)
     out = np.zeros(n + 1)
     for lo in range(1, n + 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n + 1)
-        xi = x[lo:hi, None]
-        a = xi - x[None, :-1]
-        b = xi - x[None, 1:]
-        live = b >= 0.0
-        a = np.where(live, a, 1.0)
-        b = np.where(live, b, 1.0)
-        m0, m1 = _panel_moments(alpha, a, b)
-        contrib = w[None, :-1] * m0 + slope[None, :] * m1
-        out[lo:hi] = np.sum(np.where(live, contrib, 0.0), axis=1)
+        d = np.maximum(x[lo:hi, None] - x[None, :hi], 0.0)
+        da = d ** alpha
+        da1 = d ** (alpha + 1.0)
+        # the moments of _panel_moments with A = d[:, j], B = d[:, j+1]
+        m0 = (da[:, :-1] - da[:, 1:]) / alpha
+        m1 = d[:, :-1] * m0 - (da1[:, :-1] - da1[:, 1:]) / (alpha + 1.0)
+        out[lo:hi] = np.sum(w[: hi - 1] * m0 + slope[: hi - 1] * m1, axis=1)
     return out
 
 
-def _origin_correction(
-    alpha: float, x: np.ndarray, w: np.ndarray, rho: float, k_panels: int
-) -> np.ndarray:
-    """Replace the first panels' linear interpolant by x^(rho-1) * linear.
+def _origin_weights(alpha: float, x: np.ndarray, rho: float, k_panels: int) -> np.ndarray:
+    """Origin correction as an (N, k+1) matrix acting on the samples w[0..k].
 
-    Exact for integrands of the form ``x^(rho-1) (c0 + c1 x)``, which is
-    how weighted-space solutions behave near the origin. Returns the
-    additive correction for nodes 1..N.
+    On the first k panels the linear interpolant of w is replaced by
+    x^(rho-1) * v(x) with v piecewise linear, which is exact for integrands
+    ``x^(rho-1) (c0 + c1 x)``, how weighted-space solutions behave near the
+    origin. Both the removed and the added panel integrals are linear in
+    the samples, so row i-1 holds the weights of the correction at node i.
+    Panel j reaches the nodes i >= j+1 only, and the incomplete-beta column
+    of its right endpoint is the left one of panel j+1, so building the
+    matrix takes 2k betainc evaluations per node.
     """
     n = x.size - 1
     k = min(k_panels, n)
     h = np.diff(x)
-    xi = x[1:]
-    corr = np.zeros(n)
-    # factor the modelled integrand as x^(rho-1) * v(x) with v piecewise linear
-    v = np.empty(k + 1)
-    v[1:] = w[1 : k + 1] * x[1 : k + 1] ** (1.0 - rho)
-    v[0] = v[1]  # the sample at x=0 carries no usable information
+    # v_j = x_j^(1-rho) w_j for j >= 1, and v_0 = v_1 (its weights go to column 1):
+    # the sample at x=0 carries no usable information
+    scale = np.empty(k + 1)
+    scale[1:] = x[1 : k + 1] ** (1.0 - rho)
     b0 = _scipy_beta(rho, alpha)
     b1 = _scipy_beta(rho + 1.0, alpha)
+    weights = np.zeros((n, k + 1))
+    inc0 = inc1 = np.zeros(n)  # the incomplete beta at x_0 = 0
     for j in range(k):
-        live = xi >= x[j + 1]
-        xs = np.where(live, xi, 1.0)
+        xs = x[j + 1 :]  # the nodes panel j reaches: rows j..N-1
         # subtract the plain linear-panel contribution
-        a_ = xs - x[j]
-        bb = xs - x[j + 1]
-        m0, m1 = _panel_moments(alpha, a_, bb)
-        linear = w[j] * m0 + (w[j + 1] - w[j]) / h[j] * m1
+        m0, m1 = _panel_moments(alpha, xs - x[j], xs - x[j + 1])
+        weights[j:, j] -= m0 - m1 / h[j]
+        weights[j:, j + 1] -= m1 / h[j]
         # add the weighted-model contribution via regularized incomplete beta
-        va = x[j] / xs
-        vb = x[j + 1] / xs
-        mm0 = xs ** (alpha + rho - 1.0) * b0 * (_betainc(rho, alpha, vb) - _betainc(rho, alpha, va))
-        mm1 = xs ** (alpha + rho) * b1 * (
-            _betainc(rho + 1.0, alpha, vb) - _betainc(rho + 1.0, alpha, va)
-        )
-        model = v[j] * mm0 + (v[j + 1] - v[j]) / h[j] * (mm1 - x[j] * mm0)
-        corr += np.where(live, model - linear, 0.0)
-    return corr
+        next0 = _betainc(rho, alpha, x[j + 1] / xs)
+        next1 = _betainc(rho + 1.0, alpha, x[j + 1] / xs)
+        mm0 = xs ** (alpha + rho - 1.0) * b0 * (next0 - inc0)
+        mm1 = xs ** (alpha + rho) * b1 * (next1 - inc1)
+        slope = (mm1 - x[j] * mm0) / h[j]
+        lead = max(j, 1)
+        weights[j:, lead] += scale[lead] * (mm0 - slope)
+        weights[j:, j + 1] += scale[j + 1] * slope
+        inc0, inc1 = next0[1:], next1[1:]
+    return weights
+
+
+def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
+    """(kernel spectra or None, origin weights or None) of I^alpha on grid, memoized."""
+    key = (alpha, rho)
+    found = grid._weights.get(key)
+    if found is None:
+        x = grid.x
+        n = x.size - 1
+        spectra = _uniform_spectra(alpha, float(np.diff(x).mean()), n) if grid.psi_uniform else None
+        origin = None if rho is None else _origin_weights(alpha, x, rho, max(8, n // 50))
+        found = grid._weights.setdefault(key, (spectra, origin))
+    return found
 
 
 def frac_integral_grid(
@@ -368,8 +409,11 @@ def frac_integral_grid(
     x = psi(t) - psi(0), which is read from ``grid.x``; ``psi`` must be
     the transform the grid was built with (checked exactly at the last
     node), else :class:`GridError`. When ``grid.psi_uniform`` holds, the
-    weights are translation invariant and the integral is a convolution;
-    otherwise the panels are summed blockwise at O(N^2) cost.
+    weights are translation invariant and the integral is an FFT
+    convolution; otherwise the panels are summed blockwise at O(N^2) cost.
+    The kernel spectra and the origin weights depend on the grid and the
+    orders only: the first call on a grid builds them and later calls with
+    the same ``(alpha, origin_exponent)`` reuse them.
 
     ``origin_exponent=rho`` declares that the integrand behaves like
     ``x^(rho-1)`` times a smooth factor near the origin (``rho`` in
@@ -392,14 +436,14 @@ def frac_integral_grid(
     x = grid.x
     if psi.shifted(grid.horizon) != x[-1]:
         raise GridError("psi does not match the grid's x coordinates")
-    if grid.psi_uniform:
-        out = _product_trapezoid_uniform(alpha, float(np.diff(x).mean()), w)
+    rho = None if origin_exponent is None or origin_exponent == 1.0 else float(origin_exponent)
+    spectra, origin = _grid_weights(grid, float(alpha), rho)
+    if spectra is not None:
+        out = _product_trapezoid_uniform(spectra, w)
     else:
         out = _product_trapezoid_general(alpha, x, w)
-
-    if origin_exponent is not None and origin_exponent != 1.0:
-        k_panels = max(8, (x.size - 1) // 50)
-        out[1:] += _origin_correction(alpha, x, w, float(origin_exponent), k_panels)
+    if origin is not None:
+        out[1:] += origin @ w[: origin.shape[1]]
 
     out[0] = 0.0
     return out / _gamma(alpha)

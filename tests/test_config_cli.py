@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hilferlab
 from hilferlab import ConfigError, DelayFFIDE, SolveConfig, catalog, solve
 from hilferlab.cli import main
 from hilferlab.config import parse_config
@@ -316,3 +319,13 @@ class TestCmdVerifyOperators:
         assert by_identity["power_rule"][500] < by_identity["power_rule"][250]
         assert by_identity["semigroup"][500] < by_identity["semigroup"][250]
         assert by_identity["classical_alpha1"][500] <= 1e-12
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a second to import; the CLI's start-up time must not carry it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hilferlab.__file__)))
+    code = ("import sys, hilferlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

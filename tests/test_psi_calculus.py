@@ -85,6 +85,13 @@ class TestGrid:
             Grid(nodes=np.array(nodes), history_nodes=np.array(history),
                  x=None if x is None else np.array(x))
 
+    def test_equality_is_identity(self, identity_psi):
+        grid = make_grid(identity_psi, 1.0, 10, 0.5)
+        twin = make_grid(identity_psi, 1.0, 10, 0.5)
+        assert grid == grid and {grid: 1}[grid] == 1
+        assert grid != twin  # same contents, distinct grids: compared without raising
+        assert np.array_equal(grid.nodes, twin.nodes) and np.array_equal(grid.x, twin.x)
+
     def test_psi_uniform_is_exact(self):
         identity, exponential = ORACLE_PSIS["identity"], ORACLE_PSIS["exponential"]
         for uniform_in in ("psi", "t"):
@@ -179,15 +186,45 @@ class TestFracIntegral:
             assert np.max(np.abs(got - ref)) <= 5e-3 * np.max(np.abs(ref))
 
     def test_uniform_and_general_paths_agree(self):
+        # at N = 16000 one input carries both features (w_0 != 0, singular slope at 0),
+        # since each general-path reference is an O(N^2) sum of a few seconds
+        for psi_name, n, combine in (("exponential", 2000, False), ("identity", 16000, True)):
+            psi = ORACLE_PSIS[psi_name]
+            grid = make_grid(psi, 1.0, n, 0.5)
+            x = grid.x
+            inputs = (1.0 + x + np.cos(2.0 * x), np.sqrt(x))
+            for alpha in (0.25, 0.5, 0.9):
+                spectra = psi_calculus._uniform_spectra(alpha, float(np.diff(x).mean()), n)
+                for w in (sum(inputs),) if combine else inputs:
+                    uniform = psi_calculus._product_trapezoid_uniform(spectra, w)
+                    general = psi_calculus._product_trapezoid_general(alpha, x, w)
+                    assert sup_rel(uniform, general) <= 1e-13
+
+    def test_grid_weights_built_once_per_order(self, monkeypatch):
         psi = ORACLE_PSIS["exponential"]
-        grid = make_grid(psi, 1.0, 2000, 0.5)
-        x = grid.x
-        for alpha in (0.25, 0.5, 0.9):
-            for w in (1.0 + x + np.cos(2.0 * x), np.sqrt(x)):
-                uniform = psi_calculus._product_trapezoid_uniform(
-                    alpha, float(np.diff(x).mean()), w)
-                general = psi_calculus._product_trapezoid_general(alpha, x, w)
-                assert sup_rel(uniform, general) <= 1e-13
+        grid = make_grid(psi, 1.0, 400, 0.5)
+        keys = ((0.5, 0.75), (0.25, 0.75), (0.5, 1.5))
+        fresh = {key: make_grid(psi, 1.0, 400, 0.5) for key in keys}
+        first = power_samples(psi, grid, 0.75)
+        second = first * (1.0 + grid.x)
+        expected = {(alpha, rho): frac_integral_grid(alpha, psi, second, g, rho)
+                    for (alpha, rho), g in fresh.items()}
+        frac_integral_grid(0.5, psi, first, grid, 0.75)
+
+        def refuse(*args):
+            raise AssertionError("origin weights rebuilt")
+
+        monkeypatch.setattr(psi_calculus, "_betainc", refuse)
+        again = frac_integral_grid(0.5, psi, second, grid, 0.75)
+        assert np.array_equal(again, expected[(0.5, 0.75)])
+        frac_integral_grid(0.5, psi, second, grid)  # no origin model, no incomplete beta
+        for alpha, rho in ((0.25, 0.75), (0.5, 1.5)):
+            with pytest.raises(AssertionError, match="rebuilt"):
+                frac_integral_grid(alpha, psi, second, grid, rho)
+        monkeypatch.undo()
+        # each (alpha, rho) keeps its own weights, whatever order they were built in
+        for (alpha, rho), want in reversed(list(expected.items())):
+            assert np.array_equal(frac_integral_grid(alpha, psi, second, grid, rho), want)
 
     def test_nonuniform_grid_path(self):
         # uniform-in-t nodes under a nonlinear psi exercise the general panel sum
