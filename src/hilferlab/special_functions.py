@@ -5,12 +5,13 @@ The two-parameter Mittag-Leffler function
     E_{a,b}(z) = sum_{k>=0} z^k / Gamma(a k + b),    a > 0, b > 0,
 
 generalizes the exponential (``E_{1,1} = exp``) and gives the natural
-growth envelope of fractional-order dynamics. Evaluation here is
-series-only with compensated (Kahan) summation: every use in this
-package has a moderate real argument on a bounded horizon, so
-asymptotic or contour representations are deliberately out of scope.
-The admissible argument range shrinks for small ``a`` because the early
-terms of the series grow before the gamma denominators take over.
+growth envelope of fractional-order dynamics. Evaluation here is one
+power series with compensated (Kahan) summation over whole arrays of
+arguments: every use in this package has a moderate real argument on a
+bounded horizon, so asymptotic or contour representations are
+deliberately out of scope. The admissible range shrinks for small ``a``
+because the early terms grow before the gamma denominators take over;
+negative arguments are further limited by cancellation of the terms.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from .errors import SeriesConvergenceError
 
 #: Largest argument accepted by :func:`gamma` before float64 overflow.
 GAMMA_OVERFLOW_LIMIT = 170.0
+
+#: Absolute per-term truncation tolerance of the Mittag-Leffler series.
+SERIES_TOL = 1e-12
+
+#: Cap on the series length (alpha near 0.3 close to float64 overflow needs ~6400).
+MAX_TERMS = 8000
 
 #: Consecutive below-tolerance terms required before the series stops.
 #: Guards against the non-monotone early terms at small ``alpha``.
@@ -59,24 +66,14 @@ class MlfParams:
 
     ``alpha`` and ``beta`` are the Mittag-Leffler parameters proper,
     distinct from the derivative orders elsewhere in the package.
-    ``series_tol`` is the absolute per-term truncation tolerance and
-    ``max_terms`` caps the series length.
     """
 
     alpha: float
     beta: float = 1.0
-    series_tol: float = 1e-12
-    # Sized for the slowest admissible case (alpha near 0.3 with the value
-    # close to float64 overflow needs ~6400 terms).
-    max_terms: int = 8000
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(f"MlfParams requires alpha, beta > 0, got {self}")
-        if not self.series_tol > 0.0:
-            raise ValueError(f"MlfParams requires series_tol > 0, got {self.series_tol!r}")
-        if self.max_terms < 1:
-            raise ValueError(f"MlfParams requires max_terms >= 1, got {self.max_terms!r}")
 
 
 def series_radius(alpha: float) -> float:
@@ -85,55 +82,57 @@ def series_radius(alpha: float) -> float:
 
 
 def mittag_leffler(params: MlfParams, z: float) -> float:
-    """Evaluate E_{alpha,beta}(z) by truncated power series.
-
-    Terms are formed in log space, ``exp(k log|z| - lgamma(alpha k + beta))``,
-    so intermediate factors never overflow unless the value itself does.
-    Summation is compensated; the series stops once three consecutive
-    terms fall below ``params.series_tol`` in magnitude.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"mittag_leffler requires finite z, got {z!r}")
-    zmax = series_radius(params.alpha)
-    if abs(z) > zmax:
-        raise ValueError(
-            f"|z|={abs(z)} outside the supported series range |z| <= {zmax} "
-            f"for alpha={params.alpha}"
-        )
-    if z == 0.0:
-        return 1.0 / gamma(params.beta)
-
-    log_abs_z = math.log(abs(z))
-    negative = z < 0.0
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    small_run = 0
-    for k in range(params.max_terms):
-        magnitude = math.exp(k * log_abs_z - math.lgamma(params.alpha * k + params.beta))
-        term = -magnitude if (negative and k % 2 == 1) else magnitude
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):
-            raise OverflowError(
-                f"E_{{{params.alpha},{params.beta}}}({z}) overflows float64"
-            )
-        if magnitude < params.series_tol:
-            small_run += 1
-            if small_run >= _STOP_RUN:
-                return total
-        else:
-            small_run = 0
-    raise SeriesConvergenceError(
-        f"Mittag-Leffler series did not satisfy the stopping rule within "
-        f"{params.max_terms} terms (alpha={params.alpha}, beta={params.beta}, z={z})"
-    )
+    """E_{alpha,beta}(z) at one point: :func:`mittag_leffler_values` of ``z``."""
+    return float(mittag_leffler_values(params, float(z)))
 
 
 def mittag_leffler_values(params: MlfParams, z: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`mittag_leffler` over an array of arguments."""
-    flat = np.asarray(z, dtype=float).ravel()
-    out = np.array([mittag_leffler(params, zi) for zi in flat])
-    return out.reshape(np.shape(z))
+    """Evaluate E_{alpha,beta} over an array of arguments by truncated power series.
+
+    Terms ``exp(k log|z| - lgamma(alpha k + beta))`` overflow only when the
+    value does, and are summed with compensation over the whole array. For
+    k >= 1 a term grows with |z|, so the series stops once three consecutive
+    terms of the largest |z| fall below ``SERIES_TOL``. For z < 0 the terms
+    alternate, and a term above ``SERIES_TOL / eps`` would leave rounding
+    noise above the tolerance: that raises ValueError. The result has the
+    shape of ``z``; z = 0 gives exactly 1/Gamma(beta).
+    """
+    z = np.asarray(z, dtype=float)
+    alpha, beta = params.alpha, params.beta
+    top, z_min = float(np.max(np.abs(z), initial=0.0)), float(np.min(z, initial=0.0))
+    if not top <= series_radius(alpha):  # also refuses nan and inf
+        raise ValueError(
+            f"|z|={top} outside the supported series range |z| <= {series_radius(alpha)} "
+            f"for alpha={alpha}"
+        )
+    cancel_limit = SERIES_TOL / np.finfo(float).eps
+    odd_sign = np.where(z < 0.0, -1.0, 1.0)
+    total = np.full(z.shape, 1.0 / gamma(beta))
+    comp = np.zeros(z.shape)  # Kahan compensation
+    small_run = 0
+    # log(0) = -inf gives zero terms; an overflow is caught on the total below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_abs_z, log_top, log_neg = np.log(np.abs(z)), np.log(top), np.log(-z_min)
+        for k in range(1, MAX_TERMS):
+            log_gamma = math.lgamma(alpha * k + beta)
+            if k * log_neg - log_gamma > math.log(cancel_limit):
+                raise ValueError(
+                    f"E_{{{alpha},{beta}}}({z_min}) cancels: its terms exceed the "
+                    f"negative-argument limit SERIES_TOL/eps = {cancel_limit:.3g}"
+                )
+            term = np.exp(k * log_abs_z - log_gamma)
+            if k % 2 == 1:
+                term *= odd_sign
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if not np.isfinite(total).all():  # only at z = top: negative z stop earlier
+                raise OverflowError(f"E_{{{alpha},{beta}}}({top}) overflows float64")
+            small_run = small_run + 1 if k * log_top - log_gamma < math.log(SERIES_TOL) else 0
+            if small_run >= _STOP_RUN:
+                return total
+    raise SeriesConvergenceError(
+        f"Mittag-Leffler series did not satisfy the stopping rule within {MAX_TERMS} "
+        f"terms (alpha={alpha}, beta={beta}, max |z|={top})"
+    )

@@ -122,6 +122,11 @@ def uhml_constant(problem: DelayFFIDE, *, kappa: Optional[float] = None) -> floa
     ``kappa`` defaults to the grid-sup of psi' over [0, b] (the same
     estimate as zeta in the smallness hypotheses).
     """
+    return _uhml_terms(problem, kappa)[0]
+
+
+def _uhml_terms(problem: DelayFFIDE, kappa: Optional[float]) -> tuple[float, float, float, float]:
+    """(C, kappa, A, psi(b)-psi(0)): the stability constant and the inputs behind it."""
     alpha = problem.order.alpha
     if kappa is None:
         kappa = estimate_zeta(problem.psi, problem.b)[1]
@@ -132,7 +137,7 @@ def uhml_constant(problem: DelayFFIDE, *, kappa: Optional[float] = None) -> floa
         a_const += problem.lip_h / kappa
     x_b = float(problem.psi.shifted(problem.b))
     growth = mittag_leffler(MlfParams(alpha=1.0, beta=alpha + 1.0), a_const * x_b)
-    return 1.0 + 2.0 * problem.lip_f * x_b ** alpha * growth
+    return 1.0 + 2.0 * problem.lip_f * x_b ** alpha * growth, kappa, a_const, x_b
 
 
 def solve_perturbed(
@@ -224,12 +229,7 @@ def verify_uhml(
     profile = np.concatenate((ratio_history, ratio_interior))
     c_emp = float(np.max(profile))
 
-    kappa = estimate_zeta(problem.psi, problem.b)[1]
-    a_const = 2.0 * problem.lip_f / gamma_fn(problem.order.alpha + 1.0) + (
-        problem.lip_h / kappa if problem.lip_h > 0.0 else 0.0
-    )
-    c_theory = uhml_constant(problem, kappa=kappa)
-    x_b = float(problem.psi.shifted(problem.b))
+    c_theory, kappa, a_const, x_b = _uhml_terms(problem, None)
     return StabilityReport(
         shape=pert.shape,
         epsilon=pert.epsilon,

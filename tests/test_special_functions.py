@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from hilferlab import MlfParams, SeriesConvergenceError, beta_fn, gamma, mittag_leffler
+from hilferlab import special_functions
+from hilferlab.psi_calculus import make_grid
 from hilferlab.special_functions import mittag_leffler_values, series_radius
 
-from conftest import ml_series
+from conftest import ORACLE_PSIS, ml_series
 
 
 class TestGamma:
@@ -58,7 +61,8 @@ class TestBeta:
 class TestMlfParams:
     def test_defaults(self):
         p = MlfParams(alpha=0.5)
-        assert p.beta == 1.0 and p.series_tol > 0 and p.max_terms >= 1
+        assert p.beta == 1.0
+        assert [f.name for f in dataclasses.fields(MlfParams)] == ["alpha", "beta"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,8 +70,6 @@ class TestMlfParams:
             {"alpha": 0.0},
             {"alpha": -1.0},
             {"alpha": 1.0, "beta": 0.0},
-            {"alpha": 1.0, "series_tol": 0.0},
-            {"alpha": 1.0, "max_terms": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -141,6 +143,47 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(MlfParams(alpha=0.5), float("nan"))
 
-    def test_non_convergence_error(self):
+    def test_non_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 3)
         with pytest.raises(SeriesConvergenceError):
-            mittag_leffler(MlfParams(alpha=1.0, max_terms=3), 5.0)
+            mittag_leffler(MlfParams(alpha=1.0), 5.0)
+
+    def test_negative_half_order_cancellation_is_refused(self):
+        # E_{1/2}(-6) = e^36 erfc(6) = 0.0928; the alternating series cancels to 2.58.
+        assert float(np.exp(36.0) * erfc(6.0)) == pytest.approx(0.0928, abs=1e-4)
+        with pytest.raises(ValueError, match=r"SERIES_TOL/eps"):
+            mittag_leffler(MlfParams(alpha=0.5), -6.0)
+
+    @pytest.mark.parametrize(
+        "alpha,z,name",
+        [(0.5, -28.0, r"E_\{0\.5,1\.0\}\(-28\.0\)"),
+         (0.3, -10.0, r"E_\{0\.3,1\.0\}\(-10\.0\)"),
+         (0.3, 30.0, r"E_\{0\.3,1\.0\}\(30\.0\)")],
+    )
+    def test_out_of_range_errors_name_the_value(self, alpha, z, name):
+        with pytest.raises((ValueError, OverflowError), match=name):
+            mittag_leffler(MlfParams(alpha=alpha), z)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_envelope_arguments_against_series_oracle(self, alpha):
+        for psi in ORACLE_PSIS.values():
+            z = make_grid(psi, 1.0, 2000, 0.5).x ** alpha
+            vals = mittag_leffler_values(MlfParams(alpha=alpha), z)
+            ref = np.array([ml_series(alpha, 1.0, zi) for zi in z])
+            assert np.max(np.abs(vals - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha,beta,z", [(0.5, 1.0, 0.0), (0.4, 1.0, 3.0), (1.0, 2.0, -4.0), (0.6, 1.6, 7.5)]
+    )
+    def test_point_is_array_of_one(self, alpha, beta, z):
+        p = MlfParams(alpha=alpha, beta=beta)
+        assert mittag_leffler(p, z) == mittag_leffler_values(p, [z])[0]
+
+    def test_shape_is_preserved(self):
+        p = MlfParams(alpha=0.5)
+        assert mittag_leffler_values(p, 0.7).shape == ()
+        assert mittag_leffler_values(p, np.empty((0,))).shape == (0,)
+        z = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
+        vals = mittag_leffler_values(p, z)
+        assert vals.shape == (2, 3)
+        np.testing.assert_array_equal(vals.ravel(), mittag_leffler_values(p, z.ravel()))
