@@ -8,9 +8,11 @@ The differential problem is solved through its integral form
 
 iterated from the homogeneous term until successive iterates stop moving
 in the weighted (or damped Bielecki) sup-norm. Each sweep samples F_u at
-the grid nodes and applies the product-integration operator from
+the grid nodes, taking the Volterra term of every node from one batched
+trapezoidal rule, and applies the product-integration operator from
 :mod:`hilferlab.psi_calculus`; the homogeneous term is added in weighted
-form, where its origin singularity cancels exactly.
+form, where its origin singularity cancels exactly. :func:`eval_F`
+evaluates the same F_u at a single time.
 
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
@@ -95,26 +97,31 @@ class SolveResult:
             raise ValueError("residual_history must carry one entry per iteration")
 
 
-def _inner_integral(
-    h_kernel: Callable, s: float, u_of: Callable, g: Callable, subdivisions: int
-) -> float:
-    """Trapezoidal value of int_0^s h(s, tau, u(tau), u(g(tau))) dtau.
+def _rhs(
+    problem: DelayFFIDE, u_of: Callable, s: np.ndarray, u_s: np.ndarray, subdivisions: int
+) -> np.ndarray:
+    """F_u at the 1-D array of times s > 0, given u_s = u(s).
 
-    The first subinterval uses the midpoint sample so that u, which may
-    blow up like a negative power at tau = 0+, is never evaluated at 0.
+    The Volterra term int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one
+    trapezoidal rule per row of a (len(s), subdivisions + 1) batch. The
+    first subinterval uses the midpoint sample so that u, which may blow
+    up like a negative power at tau = 0+, is never evaluated at 0.
     """
-    tau = np.linspace(0.0, s, subdivisions + 1)
-    mid = 0.5 * tau[1]
-    probe = np.concatenate(([mid], tau[1:]))
-    u_probe = u_of(probe)
-    ug_probe = u_of(np.asarray(g(probe), dtype=float))
-    vals = np.asarray(
-        h_kernel(s, probe, u_probe, ug_probe), dtype=float
-    )
-    vals = np.broadcast_to(vals, probe.shape)
-    first = vals[0] * tau[1]
-    rest = np.trapezoid(vals[1:], tau[1:]) if subdivisions >= 2 else 0.0
-    return float(first + rest)
+    g = problem.g
+    u_delayed = u_of(np.asarray(g(s), dtype=float))
+    if problem.h_kernel is None:
+        inner = np.zeros_like(s)
+    else:
+        tau = np.linspace(0.0, s, subdivisions + 1, axis=1)
+        probe = tau.copy()
+        probe[:, 0] = 0.5 * tau[:, 1]
+        vals = problem.h_kernel(
+            s[:, None], probe, u_of(probe), u_of(np.asarray(g(probe), dtype=float))
+        )
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), probe.shape)
+        inner = vals[:, 0] * tau[:, 1] + np.trapezoid(vals[:, 1:], tau[:, 1:], axis=1)
+    f_vals = np.asarray(problem.f(s, u_s, u_delayed, inner), dtype=float)
+    return np.broadcast_to(f_vals, s.shape)
 
 
 class _Workspace:
@@ -129,10 +136,10 @@ class _Workspace:
         self.t_int = grid.nodes[1:]
         self.x_int = grid.x[1:]
         self.weight = self.x_int ** (1.0 - self.gamma)
-        self.g_int = np.asarray(problem.g(self.t_int), dtype=float)
+        g_int = np.asarray(problem.g(self.t_int), dtype=float)
         self.g_origin = float(np.asarray(problem.g(0.0), dtype=float))
         lo = float(grid.history_nodes[0])
-        for label, values in (("grid nodes", self.g_int), ("t=0", np.array([self.g_origin]))):
+        for label, values in (("grid nodes", g_int), ("t=0", np.array([self.g_origin]))):
             if np.any(values < lo - 1e-12 * max(1.0, abs(lo))):
                 raise DelayRangeError(
                     f"delay map at {label} reaches {values.min()} below history start {lo}"
@@ -146,23 +153,11 @@ class _Workspace:
     def rhs_samples(self, traj: Trajectory) -> np.ndarray:
         """F_u sampled at all grid nodes for the current iterate."""
         problem = self.problem
-        u_nodes = traj.unweight(traj.weighted_values)
         u_of = traj.evaluator(problem.psi)
-        u_delayed = u_of(self.g_int)
-        if problem.h_kernel is None:
-            inner = np.zeros_like(self.t_int)
-        else:
-            inner = np.array(
-                [
-                    _inner_integral(problem.h_kernel, float(s), u_of, problem.g, self.subdivisions)
-                    for s in self.t_int
-                ]
-            )
-        f_vals = np.asarray(
-            problem.f(self.t_int, u_nodes, u_delayed, inner), dtype=float
-        )
         samples = np.empty(self.grid.nodes.size)
-        samples[1:] = np.broadcast_to(f_vals, self.t_int.shape)
+        samples[1:] = _rhs(
+            problem, u_of, self.t_int, traj.unweight(traj.weighted_values), self.subdivisions
+        )
         if self.origin_hint is None:
             u_origin = traj.initial_weight if self.gamma == 1.0 else 0.0
             u_origin_delayed = float(u_of(np.array([self.g_origin]))[0])
@@ -194,18 +189,10 @@ def eval_F(
         raise ValueError(f"eval_F requires s > 0, got {s!r}")
     if s > traj.grid.horizon + 1e-12:
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
-
+    if inner_quad_nodes < 2:
+        raise ValueError(f"inner_quad_nodes must be >= 2, got {inner_quad_nodes!r}")
     u_of = partial(trajectory_values, traj, problem.psi)
-    gs = float(np.asarray(problem.g(s), dtype=float))
-    if gs < -problem.r - 1e-12 * max(1.0, problem.r):
-        raise DelayRangeError(f"g({s}) = {gs} below the history window [-{problem.r}, 0]")
-    u_s = float(u_of(s))
-    u_gs = float(u_of(gs))
-    if problem.h_kernel is None:
-        inner = 0.0
-    else:
-        inner = _inner_integral(problem.h_kernel, s, u_of, problem.g, inner_quad_nodes)
-    return float(problem.f(s, u_s, u_gs, inner))
+    return float(_rhs(problem, u_of, np.array([s]), u_of(s), inner_quad_nodes)[0])
 
 
 def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> Trajectory:

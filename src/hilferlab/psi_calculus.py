@@ -250,8 +250,7 @@ class Trajectory:
             if np.any(future):
                 xq = np.asarray(psi.shifted(times[future]), dtype=float)
                 wq = np.interp(xq, x_nodes, w_nodes)
-                # gamma == 1 skips a power on every call of the per-node Volterra loop
-                out[future] = wq if gamma == 1.0 else wq * xq ** (gamma - 1.0)
+                out[future] = wq * xq ** (gamma - 1.0)
             return out
 
         return evaluate

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from hilferlab import (
     DelayFFIDE,
+    DelayRangeError,
     DivergenceError,
     FractionalOrder,
     SolveConfig,
@@ -17,6 +18,7 @@ from hilferlab import (
     solve,
     trajectory_values,
 )
+from hilferlab.picard_solver import _Workspace
 
 from conftest import make_linear_problem, ml_series
 
@@ -79,6 +81,83 @@ class TestEvalF:
         grid, traj = flat_trajectory(problem)
         with pytest.raises(ValueError):
             eval_F(problem, traj, 0.0, 32)
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_requires_two_inner_nodes(self, nodes):
+        problem = constant_state_problem()
+        grid, traj = flat_trajectory(problem)
+        with pytest.raises(ValueError, match="inner_quad_nodes must be >= 2"):
+            eval_F(problem, traj, 0.5, nodes)
+
+    def test_delay_below_history_window(self):
+        base = constant_state_problem()
+        problem = DelayFFIDE(
+            order=base.order, psi=base.psi, f=base.f, h_kernel=None,
+            g=catalog.make_g("constant_lag", lag=0.6),
+            phi=base.phi, u0=4.0, b=1.0, r=0.5, lip_f=1.0,
+        )
+        grid, traj = flat_trajectory(problem)
+        with pytest.raises(DelayRangeError):
+            eval_F(problem, traj, 0.05, 32)
+
+
+def _inner_integral_per_node(h_kernel, s, u_of, g, subdivisions):
+    """Reference: the Volterra term at one time s, one trapezoidal rule."""
+    tau = np.linspace(0.0, s, subdivisions + 1)
+    mid = 0.5 * tau[1]
+    probe = np.concatenate(([mid], tau[1:]))
+    u_probe = u_of(probe)
+    ug_probe = u_of(np.asarray(g(probe), dtype=float))
+    vals = np.asarray(
+        h_kernel(s, probe, u_probe, ug_probe), dtype=float
+    )
+    vals = np.broadcast_to(vals, probe.shape)
+    first = vals[0] * tau[1]
+    rest = np.trapezoid(vals[1:], tau[1:]) if subdivisions >= 2 else 0.0
+    return float(first + rest)
+
+
+class TestBatchedVolterra:
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    def test_matches_per_node_rule(self, uniform_in):
+        # gamma < 1 with u0 != 0: u blows up at 0+, so the midpoint probe matters
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.6, beta=0.5),
+            psi=catalog.make_psi("exponential"),
+            f=catalog.make_f("linear", c0=0.2, c1=-0.3, c2=0.4, c3=0.5),
+            h_kernel=catalog.make_h("polynomial", scale=0.7, degree=1.5),
+            g=catalog.make_g("proportional_lag", scale=0.5, lag=0.2),
+            phi=catalog.make_phi("cosine", amplitude=0.5, frequency=2.0),
+            u0=1.0, b=1.0, r=0.5, lip_f=0.5, lip_h=0.7,
+        )
+        grid = make_grid(problem.psi, problem.b, 200, problem.r, uniform_in=uniform_in)
+        gamma = problem.order.gamma
+        assert gamma < 1.0
+        x = grid.x[1:]
+        traj = Trajectory(
+            grid=grid,
+            weighted_values=1.0 + 0.5 * np.sin(3.0 * x),
+            initial_weight=1.0 / math.gamma(gamma),
+            history_values=np.asarray(problem.phi(grid.history_nodes), dtype=float),
+            gamma=gamma,
+        )
+        ws = _Workspace(problem, grid, subdivisions=64)
+        samples = ws.rhs_samples(traj)
+        assert np.all(np.isfinite(samples))
+
+        t_int = grid.nodes[1:]
+        u_of = traj.evaluator(problem.psi)
+        inner = np.array(
+            [_inner_integral_per_node(problem.h_kernel, float(s), u_of, problem.g, 64)
+             for s in t_int]
+        )
+        expected = problem.f(
+            t_int, traj.unweight(traj.weighted_values), u_of(problem.g(t_int)), inner
+        )
+        assert np.array_equal(samples[1:], expected)
+
+        i = 137
+        assert eval_F(problem, traj, t_int[i], 64) == pytest.approx(samples[i + 1], rel=1e-13)
 
 
 class TestPicardStep:
