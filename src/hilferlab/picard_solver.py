@@ -163,7 +163,7 @@ class _Workspace:
             u_origin_delayed = float(u_of(np.array([self.g_origin]))[0])
             samples[0] = float(problem.f(0.0, u_origin, u_origin_delayed, 0.0))
         else:
-            samples[0] = 0.0  # unused: the origin panel is modelled, not sampled
+            samples[0] = 0.0  # unused: the hinted quadrature ignores the origin sample
         return samples
 
     def sweep(self, traj: Trajectory) -> np.ndarray:

@@ -16,14 +16,14 @@ Solutions of the fractional problems treated here typically blow up like
 ``x^(gamma-1)`` at the origin, so trajectories store *weighted* values
 ``w(t) = x(t)^(1-gamma) u(t)`` at interior nodes and the finite limit of
 ``w`` at ``t -> 0+`` separately. An optional ``origin_exponent`` hint
-lets the quadrature integrate such data by modelling the integrand as
-``x^(rho-1)`` times a piecewise-linear factor on the panels nearest the
-origin.
+``rho`` lets the quadrature integrate such data: starting weights on the
+first samples make it exact on ``x^(rho-1+e)``, e in {0, alpha, 2 alpha}
+(Lubich 1986, *Discretized fractional calculus*).
 
 Every function here is deterministic and safe to call concurrently. The
 one piece of state is a memo on each :class:`Grid`: the grid-only part of
 the fractional integral (the kernel spectra of the convolution path and
-the origin-correction weights) is built on first use for each
+the starting weights) is built on first use for each
 ``(alpha, rho)`` and reused by every later call on that grid, as a Picard
 solve does once per sweep. The memo is a pure function of the grid and
 the key, so a race between threads only computes the same value twice.
@@ -36,9 +36,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.optimize import brentq
-from scipy.special import beta as _scipy_beta
-from scipy.special import betainc as _betainc
 
 from .errors import DelayRangeError, GridError
 from .special_functions import gamma as _gamma
@@ -73,6 +70,8 @@ class PsiFunction:
         x = np.asarray(x, dtype=float)
         if self.inverse is not None:
             return np.asarray(self.inverse(x + self.fn(0.0)), dtype=float)
+        from scipy.optimize import brentq  # only here: every catalog psi has an inverse
+
         psi0 = float(self.fn(0.0))
         lo, hi = bracket
 
@@ -272,18 +271,6 @@ def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
 # product-trapezoid quadrature for the left-sided fractional integral
 # ---------------------------------------------------------------------------
 
-def _panel_moments(alpha: float, a: np.ndarray, b: np.ndarray):
-    """Closed-form moments of one panel against the kernel.
-
-    For A = X - x_j, B = X - x_{j+1}:
-      M0 = int (X - x)^(alpha-1) dx          over [x_j, x_{j+1}]
-      M1 = int (x - x_j)(X - x)^(alpha-1) dx
-    """
-    m0 = (a ** alpha - b ** alpha) / alpha
-    m1 = a * m0 - (a ** (alpha + 1.0) - b ** (alpha + 1.0)) / (alpha + 1.0)
-    return m0, m1
-
-
 def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """FFT length and rfft spectra of the two kernels of the uniform-grid quadrature.
 
@@ -319,6 +306,9 @@ def _product_trapezoid_uniform(
 def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Blockwise panel summation for non-uniform x-grids.
 
+    Panel [x_j, x_{j+1}] gives row X, with A = X - x_j and B = X - x_{j+1},
+    the moments M0 = (A^a - B^a)/a of (X - x)^(a-1) and
+    M1 = A M0 - (A^(a+1) - B^(a+1))/(a+1) of (x - x_j)(X - x)^(a-1).
     A block of rows reaches only the panels left of its last node, and the
     powers of each endpoint distance serve the two panels that share it.
     A panel right of a row has both distances clamped to 0, so it adds 0.
@@ -331,65 +321,60 @@ def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np
         d = np.maximum(x[lo:hi, None] - x[None, :hi], 0.0)
         da = d ** alpha
         da1 = d ** (alpha + 1.0)
-        # the moments of _panel_moments with A = d[:, j], B = d[:, j+1]
+        # M0 and M1 with A = d[:, j], B = d[:, j+1]
         m0 = (da[:, :-1] - da[:, 1:]) / alpha
         m1 = d[:, :-1] * m0 - (da1[:, :-1] - da1[:, 1:]) / (alpha + 1.0)
         out[lo:hi] = np.sum(w[: hi - 1] * m0 + slope[: hi - 1] * m1, axis=1)
     return out
 
 
-def _origin_weights(alpha: float, x: np.ndarray, rho: float, k_panels: int) -> np.ndarray:
-    """Origin correction as an (N, k+1) matrix acting on the samples w[0..k].
+def _product_trapezoid(alpha: float, x: np.ndarray, spectra, w: np.ndarray) -> np.ndarray:
+    """The product trapezoid of w on x: the FFT form when the kernel spectra exist."""
+    if spectra is not None:
+        return _product_trapezoid_uniform(spectra, w)
+    return _product_trapezoid_general(alpha, x, w)
 
-    On the first k panels the linear interpolant of w is replaced by
-    x^(rho-1) * v(x) with v piecewise linear, which is exact for integrands
-    ``x^(rho-1) (c0 + c1 x)``, how weighted-space solutions behave near the
-    origin. Both the removed and the added panel integrals are linear in
-    the samples, so row i-1 holds the weights of the correction at node i.
-    Panel j reaches the nodes i >= j+1 only, and the incomplete-beta column
-    of its right endpoint is the left one of panel j+1, so building the
-    matrix takes 2k betainc evaluations per node.
+
+def _power_rule(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(sigma)/Gamma(alpha+sigma) x^(alpha+sigma-1), the integral of x^(sigma-1)."""
+    return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
+
+
+def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.ndarray:
+    """Starting weights as an (N, J) matrix acting on the samples w[1..J].
+
+    The product trapezoid, with the sample at x=0 set to 0, plus these
+    weights integrates each x^(rho-1+e), e in {0, alpha, 2 alpha}, exactly
+    at every node (Lubich's correction; J = min(3, N)). The weights solve
+    S V = R, where R holds the power rule minus the trapezoid for each
+    power at x_1..x_N and V the powers at x_1..x_J; each power is scaled
+    to 1 at x_J, which keeps V's condition number independent of h.
     """
     n = x.size - 1
-    k = min(k_panels, n)
-    h = np.diff(x)
-    # v_j = x_j^(1-rho) w_j for j >= 1, and v_0 = v_1 (its weights go to column 1):
-    # the sample at x=0 carries no usable information
-    scale = np.empty(k + 1)
-    scale[1:] = x[1 : k + 1] ** (1.0 - rho)
-    b0 = _scipy_beta(rho, alpha)
-    b1 = _scipy_beta(rho + 1.0, alpha)
-    weights = np.zeros((n, k + 1))
-    inc0 = inc1 = np.zeros(n)  # the incomplete beta at x_0 = 0
-    for j in range(k):
-        xs = x[j + 1 :]  # the nodes panel j reaches: rows j..N-1
-        # subtract the plain linear-panel contribution
-        m0, m1 = _panel_moments(alpha, xs - x[j], xs - x[j + 1])
-        weights[j:, j] -= m0 - m1 / h[j]
-        weights[j:, j + 1] -= m1 / h[j]
-        # add the weighted-model contribution via regularized incomplete beta
-        next0 = _betainc(rho, alpha, x[j + 1] / xs)
-        next1 = _betainc(rho + 1.0, alpha, x[j + 1] / xs)
-        mm0 = xs ** (alpha + rho - 1.0) * b0 * (next0 - inc0)
-        mm1 = xs ** (alpha + rho) * b1 * (next1 - inc1)
-        slope = (mm1 - x[j] * mm0) / h[j]
-        lead = max(j, 1)
-        weights[j:, lead] += scale[lead] * (mm0 - slope)
-        weights[j:, j + 1] += scale[j + 1] * slope
-        inc0, inc1 = next0[1:], next1[1:]
-    return weights
+    j = min(3, n)
+    sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
+    basis = np.zeros((j, n + 1))
+    basis[:, 1:] = x[1:] ** (sigmas[:, None] - 1.0)
+    residual = np.array([
+        _gamma(alpha) * _power_rule(alpha, sigma, x[1:])
+        - _product_trapezoid(alpha, x, spectra, b)[1:]
+        for sigma, b in zip(sigmas, basis)
+    ])
+    scale = 1.0 / basis[:, j]
+    values = basis[:, 1 : j + 1] * scale[:, None]  # row e: x_1..x_J
+    return np.linalg.solve(values, residual * scale[:, None]).T
 
 
 def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
-    """(kernel spectra or None, origin weights or None) of I^alpha on grid, memoized."""
+    """(kernel spectra or None, starting weights or None) of I^alpha on grid, memoized."""
     key = (alpha, rho)
     found = grid._weights.get(key)
     if found is None:
         x = grid.x
         n = x.size - 1
         spectra = _uniform_spectra(alpha, float(np.diff(x).mean()), n) if grid.psi_uniform else None
-        origin = None if rho is None else _origin_weights(alpha, x, rho, max(8, n // 50))
-        found = grid._weights.setdefault(key, (spectra, origin))
+        start = None if rho is None else _starting_weights(alpha, x, rho, spectra)
+        found = grid._weights.setdefault(key, (spectra, start))
     return found
 
 
@@ -410,14 +395,15 @@ def frac_integral_grid(
     node), else :class:`GridError`. When ``grid.psi_uniform`` holds, the
     weights are translation invariant and the integral is an FFT
     convolution; otherwise the panels are summed blockwise at O(N^2) cost.
-    The kernel spectra and the origin weights depend on the grid and the
+    The kernel spectra and the starting weights depend on the grid and the
     orders only: the first call on a grid builds them and later calls with
     the same ``(alpha, origin_exponent)`` reuse them.
 
-    ``origin_exponent=rho`` declares that the integrand behaves like
-    ``x^(rho-1)`` times a smooth factor near the origin (``rho`` in
-    (0, 1] U (1, 2)); the panels nearest 0 then integrate that model
-    exactly and the sample at t=0 is ignored. Without the hint, the
+    ``origin_exponent=rho`` (in (0, 2); 1 means no hint) declares that the
+    integrand behaves like ``x^(rho-1) (c0 + c1 x^alpha + c2 x^(2 alpha) + ...)``
+    near the origin. The sample at t=0 is then taken as 0, and starting
+    weights on the samples at x_1..x_J, J = min(3, N), make the rule exact
+    on ``x^(rho-1+e)`` for e in {0, alpha, 2 alpha}. Without the hint, the
     node-0 sample participates in the first panel like any other.
     """
     if not (0.0 < alpha <= 1.0):
@@ -436,13 +422,12 @@ def frac_integral_grid(
     if psi.shifted(grid.horizon) != x[-1]:
         raise GridError("psi does not match the grid's x coordinates")
     rho = None if origin_exponent is None or origin_exponent == 1.0 else float(origin_exponent)
-    spectra, origin = _grid_weights(grid, float(alpha), rho)
-    if spectra is not None:
-        out = _product_trapezoid_uniform(spectra, w)
+    spectra, start = _grid_weights(grid, float(alpha), rho)
+    if start is None:
+        out = _product_trapezoid(alpha, x, spectra, w)
     else:
-        out = _product_trapezoid_general(alpha, x, w)
-    if origin is not None:
-        out[1:] += origin @ w[: origin.shape[1]]
+        out = _product_trapezoid(alpha, x, spectra, np.concatenate(([0.0], w[1:])))
+        out[1:] += start @ w[1 : start.shape[1] + 1]
 
     out[0] = 0.0
     return out / _gamma(alpha)
@@ -459,8 +444,7 @@ def power_rule_reference(alpha: float, sigma: float, psi: PsiFunction, t) -> np.
         raise ValueError(f"power_rule_reference requires alpha > 0, got {alpha!r}")
     if not sigma > 0.0:
         raise ValueError(f"power_rule_reference requires sigma > 0, got {sigma!r}")
-    x = np.asarray(psi.shifted(t), dtype=float)
-    return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
+    return _power_rule(alpha, sigma, np.asarray(psi.shifted(t), dtype=float))
 
 
 def hilfer_derivative_grid(
@@ -482,7 +466,8 @@ def hilfer_derivative_grid(
     supply data whose inner integral is differentiable on the grid.
 
     ``origin_exponent=rho`` declares the data behaves like ``x^(rho-1)``
-    near the origin. Besides steering the inner quadrature, the hint lets
+    near the origin. Besides selecting the inner quadrature's starting
+    weights (see :func:`frac_integral_grid`), the hint lets
     the middle stage differentiate the smooth cofactor of ``x^mu`` (with
     ``mu = rho - 1 + (1-beta)(1-alpha)``) instead of the raw inner
     integral, which keeps the stencils away from the origin singularity;

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatchError
 from .picard_solver import SolveConfig, SolveResult, solve
@@ -273,6 +272,11 @@ def pachpatte_envelope(
         raise ValueError("eta must be positive")
     if np.any(np.diff(eta) < 0.0):
         raise ValueError("eta must be nondecreasing")
-    inner = cumulative_trapezoid(p + q, t, initial=0.0)
-    outer = cumulative_trapezoid(p * np.exp(inner), t, initial=0.0)
+    inner = _cumulative_trapezoid(p + q, t)
+    outer = _cumulative_trapezoid(p * np.exp(inner), t)
     return eta * (1.0 + outer)
+
+
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral of y over t, starting from 0 at t[0]."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))

@@ -33,6 +33,23 @@ def ml_series(alpha: float, beta: float, z: float, tol: float = 1e-16) -> float:
     raise RuntimeError("oracle series did not converge")
 
 
+def power_exp_integral(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
+    """I^alpha of x^(sigma-1) e^x at x > 0, by its power series.
+
+    Term k is Gamma(sigma+k) / (k! Gamma(alpha+sigma+k)) x^(alpha+sigma+k-1),
+    the power rule applied to the k-th term of e^x, summed in log space.
+    """
+    logx = np.log(np.asarray(x, dtype=float))
+    total = np.zeros_like(logx)
+    for k in range(200):
+        coeff = math.lgamma(sigma + k) - math.lgamma(k + 1) - math.lgamma(alpha + sigma + k)
+        term = np.exp(coeff + (alpha + sigma + k - 1.0) * logx)
+        total += term
+        if k > 0 and np.all(term <= 1e-17 * total):
+            return total
+    raise RuntimeError("oracle series did not converge")
+
+
 def sup_rel(got: np.ndarray, ref: np.ndarray) -> float:
     """Relative sup-norm error of grid data: max|got-ref| / max|ref|."""
     scale = float(np.max(np.abs(ref)))

@@ -10,6 +10,7 @@ scipy's erfc, and classical closed forms.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,28 @@ def test_criterion_04_closed_form_solve():
             f"\nPASS criterion 4 (beta={beta}): weighted max err {err:.2e} <= 1e-3, "
             f"{result.iterations} iterations <= 30"
         )
+
+
+def test_singular_closed_form_converges_at_second_order():
+    """gamma < 1 closed form on exponential psi (alpha 0.5, beta 0.5, f = 0.05 u1,
+    u0 = 1): the sup error of w falls by at least 3.5 per doubling of N from
+    500 to 4000, with the solution's x^(gamma-1) origin handled by the
+    starting weights."""
+    problem = replace(make_linear_problem(0.5, lam=0.05), psi=catalog.make_psi("exponential"))
+    gamma = problem.order.gamma
+    errs = []
+    for n in (500, 1000, 2000, 4000):
+        result = solve(problem, SolveConfig(grid_size=n, tol=1e-14))
+        assert result.converged
+        x = result.trajectory.grid.x[1:]
+        ref = np.array([ml_series(0.5, gamma, 0.05 * math.sqrt(xx)) for xx in x])
+        errs.append(float(np.max(np.abs(result.trajectory.weighted_values - ref))))
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert min(ratios) >= 3.5, (errs, ratios)
+    print(
+        f"\nPASS gamma < 1 closed form: sup errors {', '.join(f'{e:.2e}' for e in errs)}, "
+        f"worst ratio per doubling {min(ratios):.2f} >= 3.5"
+    )
 
 
 def test_criterion_05_contraction_rate():

@@ -322,10 +322,11 @@ class TestCmdVerifyOperators:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs most of a second to import; the CLI's start-up time must not carry it
+    # scipy.signal costs most of a second to import, scipy.integrate and scipy.optimize
+    # about 0.3 s together; the CLI's start-up time must carry none of them
     src = os.path.dirname(os.path.dirname(os.path.abspath(hilferlab.__file__)))
-    code = ("import sys, hilferlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    code = ("import sys, hilferlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.integrate', 'scipy.optimize'))))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"

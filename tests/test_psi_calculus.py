@@ -21,7 +21,7 @@ from hilferlab import (
     weighted_norm,
 )
 
-from conftest import ORACLE_PSIS, power_hint, power_samples, sup_rel
+from conftest import ORACLE_PSIS, power_exp_integral, power_hint, power_samples, sup_rel
 
 #: psi(t) = t^2 + t, increasing on [0, b] with analytic inverse.
 QUADRATIC_PSI = PsiFunction(
@@ -163,14 +163,16 @@ class TestFracIntegral:
     @pytest.mark.parametrize("psi_name", sorted(INVARIANT_PSIS))
     @pytest.mark.parametrize("alpha,sigma", [(0.5, 0.875), (0.25, 1.25), (0.9, 1.625)])
     def test_power_rule_oracle(self, psi_name, alpha, sigma):
+        # the hinted rule integrates the power x^(sigma-1) exactly, so the
+        # integrand x^(sigma-1) e^x carries the terms it only approximates
         psi = INVARIANT_PSIS[psi_name]
         errs = {}
         for n in (1000, 2000):
             grid = make_grid(psi, 1.0, n, 0.5)
-            got = frac_integral_grid(alpha, psi, power_samples(psi, grid, sigma), grid,
-                                     power_hint(sigma))
-            ref = power_rule_reference(alpha, sigma, psi, grid.nodes)
-            errs[n] = sup_rel(got[1:], ref[1:])
+            x = np.asarray(psi.shifted(grid.nodes), dtype=float)
+            samples = power_samples(psi, grid, sigma) * np.exp(x)
+            got = frac_integral_grid(alpha, psi, samples, grid, power_hint(sigma))
+            errs[n] = sup_rel(got[1:], power_exp_integral(alpha, sigma, x[1:]))
         assert errs[2000] <= 1e-3
         assert errs[2000] < errs[1000]
 
@@ -212,12 +214,12 @@ class TestFracIntegral:
         frac_integral_grid(0.5, psi, first, grid, 0.75)
 
         def refuse(*args):
-            raise AssertionError("origin weights rebuilt")
+            raise AssertionError("starting weights rebuilt")
 
-        monkeypatch.setattr(psi_calculus, "_betainc", refuse)
+        monkeypatch.setattr(psi_calculus, "_starting_weights", refuse)
         again = frac_integral_grid(0.5, psi, second, grid, 0.75)
         assert np.array_equal(again, expected[(0.5, 0.75)])
-        frac_integral_grid(0.5, psi, second, grid)  # no origin model, no incomplete beta
+        frac_integral_grid(0.5, psi, second, grid)  # no origin model, no starting weights
         for alpha, rho in ((0.25, 0.75), (0.5, 1.5)):
             with pytest.raises(AssertionError, match="rebuilt"):
                 frac_integral_grid(alpha, psi, second, grid, rho)
@@ -225,6 +227,22 @@ class TestFracIntegral:
         # each (alpha, rho) keeps its own weights, whatever order they were built in
         for (alpha, rho), want in reversed(list(expected.items())):
             assert np.array_equal(frac_integral_grid(alpha, psi, second, grid, rho), want)
+
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    @pytest.mark.parametrize("alpha,rho", [(0.5, 0.75), (0.25, 0.5), (0.9, 1.125)])
+    def test_starting_weights_exact_on_basis(self, uniform_in, alpha, rho):
+        # the hinted rule integrates x^(rho-1+e), e in {0, alpha, 2 alpha}, exactly on
+        # both quadrature paths; at N = 2 only the first two exponents fit
+        psi = ORACLE_PSIS["exponential"]
+        for n in (2, 400):
+            grid = make_grid(psi, 1.0, n, 0.5, uniform_in=uniform_in)
+            assert grid.psi_uniform == (uniform_in == "psi")
+            for e in (0.0, alpha, 2.0 * alpha)[:n]:
+                samples = np.full_like(grid.x, 7.0)  # the sample at x = 0 is ignored
+                samples[1:] = grid.x[1:] ** (rho - 1.0 + e)
+                got = frac_integral_grid(alpha, psi, samples, grid, rho)
+                ref = power_rule_reference(alpha, rho + e, psi, grid.nodes[1:])
+                assert sup_rel(got[1:], ref) <= 1e-13, (n, e)
 
     def test_nonuniform_grid_path(self):
         # uniform-in-t nodes under a nonlinear psi exercise the general panel sum

@@ -251,6 +251,16 @@ class TestPachpatte:
         env = pachpatte_envelope(t, eta, p, q)
         assert np.all(x <= env + 1e-12)
 
+    def test_matches_scipy_cumulative_trapezoid(self):
+        # the numpy running sum is scipy's cumulative_trapezoid bit for bit
+        rng = np.random.default_rng(7)
+        t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.01, 399))))
+        eta = 1.0 + np.cumsum(rng.uniform(0.0, 0.01, t.size))
+        p, q = rng.uniform(0.0, 2.0, t.size), rng.uniform(0.0, 1.0, t.size)
+        inner = cumulative_trapezoid(p + q, t, initial=0.0)
+        outer = cumulative_trapezoid(p * np.exp(inner), t, initial=0.0)
+        assert np.array_equal(pachpatte_envelope(t, eta, p, q), eta * (1.0 + outer))
+
     def test_validation(self):
         t = np.linspace(0.0, 1.0, 50)
         ones = np.ones_like(t)
