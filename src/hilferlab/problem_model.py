@@ -111,12 +111,7 @@ def estimate_zeta(psi: PsiFunction, b: float, n: int = 2049) -> tuple[float, flo
     return psi.deriv_bounds(0.0, b, n)
 
 
-def check_theta(
-    problem: DelayFFIDE,
-    *,
-    use_inf_deriv: bool = False,
-    r2_variant: bool = False,
-) -> float:
+def check_theta(problem: DelayFFIDE, *, use_inf_deriv: bool = False) -> float:
     """The beta-function smallness constant Theta (contraction iff < 1).
 
     Theta = 2 L_f ( B(gamma, alpha)/Gamma(alpha)
@@ -124,25 +119,20 @@ def check_theta(
             * (psi(b)-psi(0))^(alpha+1)
 
     with zeta = sup psi' on (0, b]. ``use_inf_deriv`` swaps in the inf
-    estimate instead; ``r2_variant`` replaces zeta by the horizon b (a
-    variant grouping that appears in intermediate derivations; debug
-    only).
+    estimate instead.
     """
     alpha = problem.order.alpha
     gam = problem.order.gamma
     zeta_inf, zeta_sup = estimate_zeta(problem.psi, problem.b)
     zeta = zeta_inf if use_inf_deriv else zeta_sup
-    denom = problem.b if r2_variant else zeta
     x_b = float(problem.psi.shifted(problem.b))
     core = beta_fn(gam, alpha) / gamma(alpha) + (
-        problem.lip_h / (denom * gam)
+        problem.lip_h / (zeta * gam)
     ) * beta_fn(gam + 1.0, alpha) / gamma(alpha)
     return 2.0 * problem.lip_f * core * x_b ** (alpha + 1.0)
 
 
-def check_bielecki(
-    problem: DelayFFIDE, delta: float, *, use_inf_deriv: bool = False
-) -> float:
+def check_bielecki(problem: DelayFFIDE, delta: float) -> float:
     """Left side of the exponential-weight contraction condition.
 
     2 L_f e^{delta (psi(b)-psi(0))} Gamma(gamma)/Gamma(gamma+alpha)
@@ -155,8 +145,7 @@ def check_bielecki(
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     alpha = problem.order.alpha
     gam = problem.order.gamma
-    zeta_inf, zeta_sup = estimate_zeta(problem.psi, problem.b)
-    zeta = zeta_inf if use_inf_deriv else zeta_sup
+    zeta = estimate_zeta(problem.psi, problem.b)[1]
     x_b = float(problem.psi.shifted(problem.b))
     return (
         2.0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import DelayRangeError, GridError
 from .special_functions import gamma as _gamma
@@ -53,7 +53,7 @@ class PsiFunction:
 
     ``fn`` and ``deriv`` must accept scalars or numpy arrays. ``inverse``
     (of psi itself, not of the shifted variable) is optional; grid
-    construction falls back to bracketed root finding without it.
+    construction falls back to bisection on the bracket without it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -70,15 +70,17 @@ class PsiFunction:
         x = np.asarray(x, dtype=float)
         if self.inverse is not None:
             return np.asarray(self.inverse(x + self.fn(0.0)), dtype=float)
-        from scipy.optimize import brentq  # only here: every catalog psi has an inverse
-
-        psi0 = float(self.fn(0.0))
-        lo, hi = bracket
-
-        def solve_one(xi: float) -> float:
-            return brentq(lambda t: float(self.fn(t)) - psi0 - xi, lo, hi, xtol=1e-14)
-
-        return np.array([solve_one(xi) for xi in np.atleast_1d(x)]).reshape(x.shape)
+        # psi increases, so bisect every element at once until no float
+        # lies strictly between lo and hi
+        target = x + self.fn(0.0)
+        lo, hi = np.full(x.shape, float(bracket[0])), np.full(x.shape, float(bracket[1]))
+        while True:
+            mid = 0.5 * (lo + hi)
+            inside = (lo < mid) & (mid < hi)
+            if not inside.any():
+                return hi
+            below = self.fn(mid) < target
+            lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
 
     def deriv_bounds(self, a: float, b: float, n: int = 2049) -> tuple[float, float]:
         """(min, max) of psi' sampled on [a, b]; feeds the zeta estimates."""
@@ -271,6 +273,12 @@ def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
 # product-trapezoid quadrature for the left-sided fractional integral
 # ---------------------------------------------------------------------------
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: each odd p = 3^i 5^j < 2n doubled up to >= n."""
+    odd = (3**i * 5**j for i in range(n.bit_length() + 1) for j in range(n.bit_length() + 1))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+
+
 def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """FFT length and rfft spectra of the two kernels of the uniform-grid quadrature.
 
@@ -279,14 +287,14 @@ def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, n
       I_i = h^a [ sum_{j<i} w_j (P0-P1)(i-j)  +  sum_{1<=j<=i} w_j P1(i-j+1) ]
 
     with P0, P1 the panel moments at unit spacing, so both sums are linear
-    convolutions, computed without wraparound at a fast length >= 2N+1.
+    convolutions, done by ``numpy.fft`` without wraparound at ``_fast_len(2N+1)``.
     """
     d = np.arange(0, n + 1, dtype=float)
     da = d ** alpha
     da1 = d ** (alpha + 1.0)
     p0 = (da[1:] - da[:-1]) / alpha  # P0(1..n)
     p1 = d[1:] * p0 - (da1[1:] - da1[:-1]) / (alpha + 1.0)  # P1(1..n)
-    size = next_fast_len(2 * n + 1, real=True)
+    size = _fast_len(2 * n + 1)
     scale = h ** alpha
     left = rfft(scale * np.concatenate(([0.0], p0 - p1)), size)
     right = rfft(scale * p1, size)

@@ -321,12 +321,15 @@ class TestCmdVerifyOperators:
         assert by_identity["classical_alpha1"][500] <= 1e-12
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs most of a second to import, scipy.integrate and scipy.optimize
-    # about 0.3 s together; the CLI's start-up time must carry none of them
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # numpy is the only runtime dependency: importing scipy.fft alone costs about 0.3 s,
+    # so neither the CLI import nor a verify-operators run may load any scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(hilferlab.__file__)))
-    code = ("import sys, hilferlab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.integrate', 'scipy.optimize'))))")
+    code = ("import sys, hilferlab.cli; "
+            "assert hilferlab.cli.main(['verify-operators', '--grid', '64', "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "operator_checks.csv").is_file()
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -115,20 +115,6 @@ class TestTheta:
             kwargs[field] = value
             assert check_theta(DelayFFIDE(**kwargs)) > base
 
-    def test_r2_variant_swaps_zeta_for_horizon(self, worked_problem):
-        # with psi = t and b = 1 both groupings agree; with b = 2 they differ
-        assert check_theta(worked_problem, r2_variant=True) == pytest.approx(
-            check_theta(worked_problem), rel=1e-12
-        )
-        wider = DelayFFIDE(
-            order=worked_problem.order, psi=worked_problem.psi, f=worked_problem.f,
-            h_kernel=worked_problem.h_kernel, g=worked_problem.g, phi=worked_problem.phi,
-            u0=1.0, b=2.0, r=0.5, lip_f=0.05, lip_h=0.1,
-        )
-        assert check_theta(wider, r2_variant=True) != pytest.approx(
-            check_theta(wider), rel=1e-6
-        )
-
 
 class TestBielecki:
     def test_worked_value_at_zero(self, worked_problem):

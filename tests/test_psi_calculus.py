@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from hilferlab import (
     DelayRangeError,
@@ -58,6 +61,17 @@ class TestGrid:
         g = make_grid(psi, 1.0, 16, 0.5)
         x = psi.shifted(g.nodes)
         assert np.allclose(np.diff(x), np.diff(x)[0], rtol=1e-9)
+
+    @pytest.mark.parametrize("name,params", [("exponential", {}), ("shifted_power", {"rho": 0.5})])
+    @pytest.mark.parametrize("n", [16, 4000])
+    def test_bisection_inverse_matches_catalog_inverse(self, name, params, n):
+        # without an inverse the nodes come from bisection; they agree with the
+        # catalog's closed-form inverse to a few ulps of b = 1
+        psi = catalog.make_psi(name, **params)
+        ref = make_grid(psi, 1.0, n, 0.5)
+        got = make_grid(dataclasses.replace(psi, inverse=None), 1.0, n, 0.5)
+        assert np.max(np.abs(got.nodes - ref.nodes)) <= 4e-16
+        assert np.array_equal(got.x, ref.x)
 
     @pytest.mark.parametrize(
         "nodes,history,x",
@@ -201,6 +215,13 @@ class TestFracIntegral:
                     uniform = psi_calculus._product_trapezoid_uniform(spectra, w)
                     general = psi_calculus._product_trapezoid_general(alpha, x, w)
                     assert sup_rel(uniform, general) <= 1e-13
+
+    def test_fft_length_is_scipy_next_fast_len(self):
+        # the convolution length is the smallest 5-smooth n, as scipy's real-FFT rule
+        sizes = [*range(1, 5001), *(2 * n + 1 for n in (64, 1000, 2000, 4000, 16000))]
+        sizes += np.random.default_rng(7).integers(5001, 10**6, 200).tolist()
+        for n in sizes:
+            assert psi_calculus._fast_len(n) == next_fast_len(n, real=True), n
 
     def test_grid_weights_built_once_per_order(self, monkeypatch):
         psi = ORACLE_PSIS["exponential"]
