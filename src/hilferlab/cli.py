@@ -44,18 +44,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, header: list[str], rows: list[list], fmt: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _cells(column, fmt: str) -> list:
+    """A column's JSON values or CSV cells: a float array in one map, a list value by value."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        return values if fmt == "json" else list(map("{:.17g}".format, values))
+    return list(column) if fmt == "json" else ["" if v is None else _fmt(v) for v in column]
+
+
+def _write_columns(out_dir: str, stem: str, header: list[str], columns: list, fmt: str) -> None:
+    """Write equal-length :func:`_cells` columns to <stem>.<fmt>: CSV lines or JSON row objects."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{stem}.{fmt}")
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, row)) for row in zip(*columns)]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         return
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -105,8 +114,8 @@ def cmd_check(args) -> int:
         report.theta, report.theta_ok, report.bielecki_lhs, report.bielecki_ok,
         report.zeta, report.zeta_inf, report.delta_used, lip_f, lip_h, certified,
     ]
-    ext = "json" if cfg.out_format == "json" else "csv"
-    _write_rows(os.path.join(cfg.out_dir, f"hypotheses.{ext}"), header, [row], cfg.out_format)
+    columns = [_cells(c, cfg.out_format) for c in zip(row)]
+    _write_columns(cfg.out_dir, "hypotheses", header, columns, cfg.out_format)
     return _EXIT_OK if certified else _EXIT_UNCERTIFIED
 
 
@@ -117,15 +126,18 @@ def cmd_solve(args) -> int:
     grid = traj.grid
     psi = cfg.problem.psi
 
+    fmt = cfg.out_format
+    t = np.concatenate((grid.history_nodes, grid.nodes[1:]))
+    u = np.concatenate((traj.history_values, traj.unweight(traj.weighted_values)))
+    columns = [
+        _cells(t, fmt),
+        _cells(psi.fn(t), fmt),
+        _cells([None], fmt) * grid.history_nodes.size + _cells(traj.weighted_values, fmt),
+        _cells(u, fmt),
+        _cells([result.iterations], fmt) * t.size,
+    ]
     header = ["t", "psi_t", "weighted_u", "u", "residual_iter_count"]
-    rows: list[list] = []
-    for t, u in zip(grid.history_nodes, traj.history_values):
-        rows.append([float(t), float(psi.fn(t)), None, float(u), result.iterations])
-    u_int = traj.unweight(traj.weighted_values)
-    for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
-        rows.append([float(t), float(psi.fn(t)), float(w), float(u), result.iterations])
-    ext = "json" if cfg.out_format == "json" else "csv"
-    _write_rows(os.path.join(cfg.out_dir, f"solution.{ext}"), header, rows, cfg.out_format)
+    _write_columns(cfg.out_dir, "solution", header, columns, fmt)
 
     final = result.residual_history[-1] if result.residual_history else float("nan")
     print(f"converged={_fmt(result.converged)} iterations={result.iterations} "
@@ -142,7 +154,10 @@ def cmd_stability(args) -> int:
         raise ConfigError("stability run needs at least one perturbation "
                           "([stability] shapes/epsilons)")
     base = solve(cfg.problem, cfg.solve)
-    ext = "json" if cfg.out_format == "json" else "csv"
+    fmt = cfg.out_format
+    grid = base.trajectory.grid
+    # every ratio profile lies on the base grid, so its time column is formatted once
+    times = _cells(np.concatenate((grid.history_nodes, grid.nodes[1:])), fmt)
     header = ["shape", "epsilon", "c_theoretical", "c_empirical", "passed", "kappa_used"]
     rows: list[list] = []
     all_converged = base.converged
@@ -158,16 +173,13 @@ def cmd_stability(args) -> int:
             report.shape, report.epsilon, report.c_theoretical,
             report.c_empirical, report.passed, report.kappa_used,
         ])
-        profile_rows = [
-            [float(t), float(ratio)]
-            for t, ratio in zip(report.profile_times, report.ratio_profile)
-        ]
-        name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.{ext}"
-        _write_rows(os.path.join(cfg.out_dir, name), ["t", "ratio"], profile_rows, cfg.out_format)
+        _write_columns(cfg.out_dir, f"ratio_profile_{pert.shape}_{pert.epsilon:g}", ["t", "ratio"],
+                       [times, _cells(report.ratio_profile, fmt)], fmt)
         print(f"shape={report.shape} epsilon={_fmt(report.epsilon)} "
               f"c_theoretical={_fmt(report.c_theoretical)} "
               f"c_empirical={_fmt(report.c_empirical)} passed={_fmt(report.passed)}")
-    _write_rows(os.path.join(cfg.out_dir, f"stability.{ext}"), header, rows, cfg.out_format)
+    columns = [_cells(c, fmt) for c in zip(*rows)]
+    _write_columns(cfg.out_dir, "stability", header, columns, fmt)
     return _EXIT_OK if all_converged else _EXIT_DIVERGED
 
 
@@ -271,8 +283,8 @@ def cmd_verify_operators(args) -> int:
                 order_text = f"{order:7.2f}" if order is not None else "     --"
                 print(f"{identity:<18} {psi.label or name:<22} {n:>6} {err:>14.3e} {order_text}")
             previous = errs
-    ext = "json" if fmt == "json" else "csv"
-    _write_rows(os.path.join(out_dir, f"operator_checks.{ext}"), header, rows, fmt)
+    columns = [_cells(c, fmt) for c in zip(*rows)]
+    _write_columns(out_dir, "operator_checks", header, columns, fmt)
     return _EXIT_OK
 
 

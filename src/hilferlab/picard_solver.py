@@ -234,7 +234,7 @@ def certify_contraction(problem: DelayFFIDE) -> tuple[float, float, Optional[str
     reported as a diagnostic.
     """
     theta = check_theta(problem)
-    bielecki = float(check_bielecki(problem, 0.0))
+    bielecki = check_bielecki(problem, 0.0)
     return theta, bielecki, ("theta" if theta < 1.0 else None)
 
 

@@ -147,7 +147,7 @@ def check_bielecki(problem: DelayFFIDE, delta: float) -> float:
     gam = problem.order.gamma
     zeta = estimate_zeta(problem.psi, problem.b)[1]
     x_b = float(problem.psi.shifted(problem.b))
-    return (
+    return float(
         2.0
         * problem.lip_f
         * np.exp(delta * x_b)

@@ -304,11 +304,11 @@ def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, n
 def _product_trapezoid_uniform(
     spectra: tuple[int, np.ndarray, np.ndarray], w: np.ndarray
 ) -> np.ndarray:
-    """Uniform-grid quadrature: one rfft/irfft pair against the kernel spectra."""
+    """Uniform-grid quadrature: one rfft/irfft pair per row of w against the kernel spectra."""
     size, left, right = spectra
     ws = rfft(w, size)
     # the second sum skips w_0, and the spectrum of w_0 at index 0 is w_0 everywhere
-    return irfft(ws * left + (ws - w[0]) * right, size)[: w.size]
+    return irfft(ws * left + (ws - w[..., :1]) * right, size)[..., : w.shape[-1]]
 
 
 def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -320,10 +320,13 @@ def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np
     A block of rows reaches only the panels left of its last node, and the
     powers of each endpoint distance serve the two panels that share it.
     A panel right of a row has both distances clamped to 0, so it adds 0.
+    w may stack k sample vectors as (k, N+1); each block's moments then
+    serve all k.
     """
     n = x.size - 1
-    slope = np.diff(w) / np.diff(x)
-    out = np.zeros(n + 1)
+    samples = np.atleast_2d(w)
+    slopes = np.diff(samples) / np.diff(x)
+    out = np.zeros(samples.shape)
     for lo in range(1, n + 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n + 1)
         d = np.maximum(x[lo:hi, None] - x[None, :hi], 0.0)
@@ -332,8 +335,9 @@ def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np
         # M0 and M1 with A = d[:, j], B = d[:, j+1]
         m0 = (da[:, :-1] - da[:, 1:]) / alpha
         m1 = d[:, :-1] * m0 - (da1[:, :-1] - da1[:, 1:]) / (alpha + 1.0)
-        out[lo:hi] = np.sum(w[: hi - 1] * m0 + slope[: hi - 1] * m1, axis=1)
-    return out
+        for row, ws, slope in zip(out, samples, slopes):
+            row[lo:hi] = np.sum(ws[: hi - 1] * m0 + slope[: hi - 1] * m1, axis=1)
+    return out.reshape(w.shape)
 
 
 def _product_trapezoid(alpha: float, x: np.ndarray, spectra, w: np.ndarray) -> np.ndarray:
@@ -363,11 +367,8 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.nd
     sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
     basis = np.zeros((j, n + 1))
     basis[:, 1:] = x[1:] ** (sigmas[:, None] - 1.0)
-    residual = np.array([
-        _gamma(alpha) * _power_rule(alpha, sigma, x[1:])
-        - _product_trapezoid(alpha, x, spectra, b)[1:]
-        for sigma, b in zip(sigmas, basis)
-    ])
+    exact = np.array([_gamma(alpha) * _power_rule(alpha, sigma, x[1:]) for sigma in sigmas])
+    residual = exact - _product_trapezoid(alpha, x, spectra, basis)[:, 1:]
     scale = 1.0 / basis[:, j]
     values = basis[:, 1 : j + 1] * scale[:, None]  # row e: x_1..x_J
     return np.linalg.solve(values, residual * scale[:, None]).T

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hilferlab
-from hilferlab import ConfigError, DelayFFIDE, SolveConfig, catalog, solve
+from hilferlab import ConfigError, DelayFFIDE, SolveConfig, catalog, solve, verify_uhml
 from hilferlab.cli import main
 from hilferlab.config import parse_config
 
@@ -87,6 +88,25 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_json_mirrors_csv(csv_path, json_path):
+    """The JSON rows hold the CSV cells: numbers equal, "" as null, true/false as bools."""
+    header, *rows = read_csv(csv_path)
+    with open(json_path) as fh:
+        records = json.load(fh)
+    assert len(records) == len(rows) > 0
+    for record, row in zip(records, rows):
+        assert list(record) == header
+        for cell, value in zip(row, record.values()):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, (int, float)):
+                assert float(cell) == value
+            else:
+                assert cell == value
+
+
 class TestParseConfig:
     def test_worked_config(self, tmp_path):
         path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "out"), fmt="csv", seed=3)
@@ -162,6 +182,20 @@ class TestCmdCheck:
         path = write_config(tmp_path, bad, out=str(tmp_path / "o"), fmt="csv", seed=0)
         assert main(["check", "--config", path]) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bool_cells_in_both_formats(self, tmp_path, fmt):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(out), fmt=fmt, seed=0)
+        assert main(["check", "--config", path]) == 0
+        flags = ("theta_ok", "bielecki_ok", "certified")
+        if fmt == "csv":
+            header, row = read_csv(out / "hypotheses.csv")
+            assert all(row[header.index(k)] in ("true", "false") for k in flags)
+        else:
+            with open(out / "hypotheses.json") as fh:
+                (record,) = json.load(fh)
+            assert all(type(record[k]) is bool for k in flags)
+
     def test_malformed_exit_one(self, tmp_path, capsys):
         bad = WORKED_CONFIG.replace("alpha = 0.5", "alpha = maybe")
         path = write_config(tmp_path, bad, out="o", fmt="csv", seed=0)
@@ -227,6 +261,48 @@ class TestCmdStability:
         for name in sorted(os.listdir(out_a)):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+class TestOutputFiles:
+    def test_bytes_match_a_per_value_formatter(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(out), fmt="csv", seed=5)
+        assert main(["solve", "--config", path, "--grid", "150"]) == 0
+        assert main(["stability", "--config", path, "--grid", "150"]) == 0
+        cfg = parse_config(path)
+        cfg.solve = replace(cfg.solve, grid_size=150)
+        result = solve(cfg.problem, cfg.solve)
+        traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
+        grid = traj.grid
+        lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
+        for t, u in zip(grid.history_nodes, traj.history_values):
+            lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
+        u_int = traj.unweight(traj.weighted_values)
+        for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
+            lines.append(f"{t:.17g},{psi.fn(t):.17g},{w:.17g},{u:.17g},{its}")
+        assert (out / "solution.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        for pert in (cfg.perturbations[0], cfg.perturbations[-1]):
+            report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
+            lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
+                                   for t, r in zip(report.profile_times, report.ratio_profile)]
+            name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"
+            assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["solve", "--grid", "100"], ["stability", "--grid", "100"],
+        ["verify-operators", "--psi", "identity", "--grid", "64", "--grid", "128"],
+    ], ids=lambda argv: argv[0])
+    def test_json_mirrors_csv(self, tmp_path, argv):
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "unused"), fmt="csv", seed=2)
+        config = [] if argv[0] == "verify-operators" else ["--config", path]
+        for fmt in ("csv", "json"):
+            assert main(argv + config + ["--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        names = sorted(os.listdir(tmp_path / "csv"))
+        assert names and sorted(os.listdir(tmp_path / "json")) == [
+            n.replace(".csv", ".json") for n in names]
+        for name in names:
+            assert_json_mirrors_csv(tmp_path / "csv" / name,
+                                    tmp_path / "json" / name.replace(".csv", ".json"))
 
 
 LAMBDA_CONFIG = """

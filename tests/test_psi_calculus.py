@@ -216,6 +216,22 @@ class TestFracIntegral:
                     general = psi_calculus._product_trapezoid_general(alpha, x, w)
                     assert sup_rel(uniform, general) <= 1e-13
 
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    def test_stacked_samples_match_per_row_calls(self, uniform_in):
+        # the starting weights integrate their three basis rows in one call; N = 600 spans
+        # three row blocks of the general path, the last one partial
+        psi = ORACLE_PSIS["exponential"]
+        grid = make_grid(psi, 1.0, 600, 0.5, uniform_in=uniform_in)
+        x = grid.x
+        stacked = np.stack((1.0 + x + np.cos(2.0 * x), np.sqrt(x), x ** 1.25))
+        for alpha in (0.25, 0.9):
+            spectra = (psi_calculus._uniform_spectra(alpha, float(np.diff(x).mean()), 600)
+                       if grid.psi_uniform else None)
+            together = psi_calculus._product_trapezoid(alpha, x, spectra, stacked)
+            for row, w in zip(together, stacked):
+                alone = psi_calculus._product_trapezoid(alpha, x, spectra, w)
+                assert row.tobytes() == alone.tobytes()
+
     def test_fft_length_is_scipy_next_fast_len(self):
         # the convolution length is the smallest 5-smooth n, as scipy's real-FFT rule
         sizes = [*range(1, 5001), *(2 * n + 1 for n in (64, 1000, 2000, 4000, 16000))]
