@@ -13,7 +13,6 @@ from .errors import (
     DelayRangeError,
     DivergenceError,
     GridError,
-    GridMismatchError,
     HilferLabError,
     SeriesConvergenceError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DelayRangeError",
     "DivergenceError",
     "GridError",
-    "GridMismatchError",
     "HilferLabError",
     "SeriesConvergenceError",
     "MlfParams",

@@ -15,19 +15,18 @@ from .errors import ConfigError
 from .psi_calculus import PsiFunction
 
 
-def _check_params(kind: str, name: str, given: dict, allowed: tuple[str, ...]) -> None:
-    extra = set(given) - set(allowed)
+def _build(kind: str, table: dict, name: str, params: dict):
+    """Look ``name`` up in a catalog table, check its parameters, and build it."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} form '{name}'; available: {sorted(table)}")
+    allowed, build = table[name]
+    extra = set(params) - set(allowed)
     if extra:
         raise ConfigError(
             f"{kind} form '{name}' does not accept parameter(s) {sorted(extra)}; "
             f"allowed: {list(allowed)}"
         )
-
-
-def _pick(kind: str, name: str, table: dict) -> tuple:
-    if name not in table:
-        raise ConfigError(f"unknown {kind} form '{name}'; available: {sorted(table)}")
-    return table[name]
+    return build(params)
 
 
 # --- psi transforms --------------------------------------------------------
@@ -42,7 +41,9 @@ def _psi_identity(params: dict) -> PsiFunction:
 
 
 def _psi_exponential(params: dict) -> PsiFunction:
-    return PsiFunction(fn=np.exp, deriv=np.exp, label="exponential", inverse=np.log)
+    return PsiFunction(
+        fn=np.exp, deriv=np.exp, label="exponential", inverse=np.log, exact_shift=np.expm1
+    )
 
 
 def _psi_shifted_power(params: dict) -> PsiFunction:
@@ -54,6 +55,7 @@ def _psi_shifted_power(params: dict) -> PsiFunction:
         deriv=lambda t: rho * (np.asarray(t, dtype=float) + 1.0) ** (rho - 1.0),
         label=f"shifted_power(rho={rho:g})",
         inverse=lambda y: np.asarray(y, dtype=float) ** (1.0 / rho) - 1.0,
+        exact_shift=lambda t: np.expm1(rho * np.log1p(np.asarray(t, dtype=float))),
     )
 
 
@@ -65,9 +67,7 @@ PSI_CATALOG: dict[str, tuple[tuple[str, ...], Callable[[dict], PsiFunction]]] = 
 
 
 def make_psi(name: str, **params) -> PsiFunction:
-    allowed, build = _pick("psi", name, PSI_CATALOG)
-    _check_params("psi", name, params, allowed)
-    return build(params)
+    return _build("psi", PSI_CATALOG, name, params)
 
 
 # --- right-hand sides f(t, u1, u2, u3) -------------------------------------
@@ -97,9 +97,7 @@ F_CATALOG = {
 
 
 def make_f(name: str, **params):
-    allowed, build = _pick("f", name, F_CATALOG)
-    _check_params("f", name, params, allowed)
-    return build(params)
+    return _build("f", F_CATALOG, name, params)
 
 
 # --- Volterra kernels h(t, s, v1, v2); "none" drops the kernel entirely ----
@@ -130,9 +128,7 @@ H_CATALOG = {
 
 
 def make_h(name: str, **params) -> Optional[Callable]:
-    allowed, build = _pick("h", name, H_CATALOG)
-    _check_params("h", name, params, allowed)
-    return build(params)
+    return _build("h", H_CATALOG, name, params)
 
 
 # --- delay maps g(t) with g(t) <= t -----------------------------------------
@@ -167,9 +163,7 @@ G_CATALOG = {
 
 
 def make_g(name: str, **params):
-    allowed, build = _pick("g", name, G_CATALOG)
-    _check_params("g", name, params, allowed)
-    return build(params)
+    return _build("g", G_CATALOG, name, params)
 
 
 # --- history functions phi(t) on [-r, 0] ------------------------------------
@@ -199,6 +193,4 @@ PHI_CATALOG = {
 
 
 def make_phi(name: str, **params):
-    allowed, build = _pick("phi", name, PHI_CATALOG)
-    _check_params("phi", name, params, allowed)
-    return build(params)
+    return _build("phi", PHI_CATALOG, name, params)

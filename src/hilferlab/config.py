@@ -1,44 +1,18 @@
 """Experiment configuration: INI-style files with four named sections.
 
-A config declares the problem by catalog names plus numeric parameters,
-the solver controls, an optional stability block, and output settings::
+A config declares the problem in ``[problem]`` by catalog names plus
+numeric parameters, the solver controls in ``[solve]``, an optional
+stability block in ``[stability]``, and output settings in ``[output]``;
+the README's "Config format" section lists every key. Catalog parameters
+use the ``<slot>_<name>`` key convention (``f_c1``, ``g_lag``). A ``;``
+after whitespace starts an inline comment.
 
-    [problem]
-    psi = identity
-    alpha = 0.5
-    beta = 1.0
-    b = 1.0
-    r = 0.5
-    u0 = 1.0
-    f = linear
-    f_c1 = 0.05
-    f_c2 = 0.05
-    f_c3 = 0.05
-    h = linear
-    h_d1 = 0.1
-    h_d2 = 0.1
-    g = constant_lag
-    g_lag = 0.5
-    phi = cosine
-    lip_f = 0.05
-    lip_h = 0.1
-
-    [solve]
-    grid_size = 1000
-    tol = 1e-10
-
-    [stability]
-    shapes = constant, sinusoid, square_wave
-    epsilons = 1e-2, 1e-3
-
-    [output]
-    directory = out
-    format = csv
-    seed = 0
-
-Catalog parameters use the ``<slot>_<name>`` key convention shown above.
-Parse or validation failures raise :class:`ConfigError` with a
-section/key diagnostic.
+``[solve]``, ``[stability]`` and ``[output]`` are read through one key
+table each, which maps an INI key to the dataclass field it sets. A key
+that is absent keeps the field's default, so every default is written
+once, on :class:`SolveConfig`, :class:`Perturbation` or
+:class:`ExperimentConfig`. Parse or validation failures raise
+:class:`ConfigError` with a section/key diagnostic.
 """
 
 from __future__ import annotations
@@ -52,18 +26,6 @@ from .picard_solver import SolveConfig
 from .problem_model import DelayFFIDE, FractionalOrder, validate_problem
 from .stability_lab import Perturbation
 
-_SOLVE_KEYS = {
-    "grid_size",
-    "inner_quad_nodes",
-    "tol",
-    "max_iter",
-    "norm",
-    "bielecki_delta",
-    "uniform_in",
-    "history_size",
-}
-_STABILITY_KEYS = {"shapes", "epsilons", "frequency", "modes"}
-_OUTPUT_KEYS = {"directory", "format", "seed"}
 _PROBLEM_SCALARS = {"alpha", "beta", "b", "r", "u0", "lip_f", "lip_h"}
 _PROBLEM_SLOTS = ("psi", "f", "h", "g", "phi")
 
@@ -80,35 +42,58 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _float(section: configparser.SectionProxy, key: str, default=None) -> float:
+def _float(section: configparser.SectionProxy, key: str) -> float:
     raw = section.get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"[{section.name}] missing required key '{key}'")
-        return float(default)
+        raise ConfigError(f"[{section.name}] missing required key '{key}'")
     try:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key}: expected a number, got {raw!r}") from exc
 
 
-def _int(section: configparser.SectionProxy, key: str, default: int) -> int:
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _int(section: configparser.SectionProxy, key: str) -> int:
+    raw = section[key]
     try:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key}: expected an integer, got {raw!r}") from exc
 
 
+def _text(section: configparser.SectionProxy, key: str) -> str:
+    return section[key]
+
+
+def _out_format(section: configparser.SectionProxy, key: str) -> str:
+    value = section[key]
+    if value not in ("csv", "json"):
+        raise ConfigError(f"[{section.name}] {key} must be csv or json, got {value!r}")
+    return value
+
+
+# INI key -> (dataclass field, reader); the keys are the section's allowed keys
+_SOLVE_KEYS = {
+    "grid_size": ("grid_size", _int),
+    "inner_quad_nodes": ("inner_quad_nodes", _int),
+    "tol": ("tol", _float),
+    "max_iter": ("max_iter", _int),
+    "norm": ("norm_kind", _text),
+    "bielecki_delta": ("bielecki_delta", _float),
+    "uniform_in": ("grid_uniform_in", _text),
+    "history_size": ("history_size", _int),
+}
+_STABILITY_KEYS = {"frequency": ("frequency", _float), "modes": ("modes", _int)}
+_STABILITY_LISTS = frozenset({"shapes", "epsilons"})
+_OUTPUT_KEYS = {
+    "directory": ("out_dir", _text),
+    "format": ("out_format", _out_format),
+    "seed": ("seed", _int),
+}
+
+
 def _slot_params(section: configparser.SectionProxy, slot: str) -> dict:
     prefix = slot + "_"
-    out = {}
-    for key in section:
-        if key.startswith(prefix) and key not in _PROBLEM_SCALARS:
-            out[key[len(prefix):]] = _float(section, key)
-    return out
+    return {key[len(prefix):]: _float(section, key) for key in section if key.startswith(prefix)}
 
 
 def _check_unknown_keys(section: configparser.SectionProxy, allowed: set[str]) -> None:
@@ -118,17 +103,14 @@ def _check_unknown_keys(section: configparser.SectionProxy, allowed: set[str]) -
 
 
 def _problem_from(section: configparser.SectionProxy) -> DelayFFIDE:
-    slot_param_keys = {
-        key for key in section
-        if any(key.startswith(slot + "_") for slot in _PROBLEM_SLOTS)
-        and key not in _PROBLEM_SCALARS
-    }
-    allowed = _PROBLEM_SCALARS | set(_PROBLEM_SLOTS) | slot_param_keys
-    _check_unknown_keys(section, allowed)
+    prefixes = tuple(slot + "_" for slot in _PROBLEM_SLOTS)
+    slot_param_keys = {key for key in section if key.startswith(prefixes)}
+    _check_unknown_keys(section, _PROBLEM_SCALARS | set(_PROBLEM_SLOTS) | slot_param_keys)
 
     try:
         order = FractionalOrder(
-            alpha=_float(section, "alpha"), beta=_float(section, "beta", 1.0)
+            alpha=_float(section, "alpha"),
+            beta=_float(section, "beta") if "beta" in section else 1.0,
         )
         psi = make_psi(section.get("psi", "identity"), **_slot_params(section, "psi"))
         f = make_f(section.get("f", "zero"), **_slot_params(section, "f"))
@@ -146,7 +128,7 @@ def _problem_from(section: configparser.SectionProxy) -> DelayFFIDE:
             b=_float(section, "b"),
             r=_float(section, "r"),
             lip_f=_float(section, "lip_f"),
-            lip_h=_float(section, "lip_h", 0.0),
+            lip_h=_float(section, "lip_h") if "lip_h" in section else 0.0,
         )
         validate_problem(problem)
     except ConfigError:
@@ -156,24 +138,21 @@ def _problem_from(section: configparser.SectionProxy) -> DelayFFIDE:
     return problem
 
 
+def _fields(
+    parser: configparser.ConfigParser, name: str, table: dict, lists: frozenset = frozenset()
+) -> dict:
+    """Field values of the ``table`` keys set in section [name]; ``lists`` are also allowed."""
+    if not parser.has_section(name):
+        return {}
+    section = parser[name]
+    _check_unknown_keys(section, set(table) | lists)
+    return {fld: read(section, key) for key, (fld, read) in table.items() if key in section}
+
+
 def _solve_from(parser: configparser.ConfigParser) -> SolveConfig:
-    if not parser.has_section("solve"):
-        return SolveConfig()
-    section = parser["solve"]
-    _check_unknown_keys(section, _SOLVE_KEYS)
-    norm = section.get("norm", "weighted")
-    uniform_in = section.get("uniform_in", "psi")
+    fields = _fields(parser, "solve", _SOLVE_KEYS)
     try:
-        return SolveConfig(
-            grid_size=_int(section, "grid_size", 1000),
-            inner_quad_nodes=_int(section, "inner_quad_nodes", 64),
-            tol=_float(section, "tol", 1e-10),
-            max_iter=_int(section, "max_iter", 200),
-            norm_kind=norm,
-            bielecki_delta=_float(section, "bielecki_delta", 0.0),
-            grid_uniform_in=uniform_in,
-            history_size=_int(section, "history_size", 128),
-        )
+        return SolveConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"[solve] {exc}") from exc
 
@@ -186,14 +165,12 @@ def _split_list(section: configparser.SectionProxy, key: str) -> list[str]:
 def _perturbations_from(parser: configparser.ConfigParser, seed: int) -> list[Perturbation]:
     if not parser.has_section("stability"):
         return []
+    params = _fields(parser, "stability", _STABILITY_KEYS, _STABILITY_LISTS)
     section = parser["stability"]
-    _check_unknown_keys(section, _STABILITY_KEYS)
     shapes = _split_list(section, "shapes")
     eps_raw = _split_list(section, "epsilons")
     if not shapes or not eps_raw:
         raise ConfigError("[stability] needs non-empty 'shapes' and 'epsilons' lists")
-    frequency = _float(section, "frequency", 2.0 * 3.141592653589793)
-    modes = _int(section, "modes", 4)
     perts = []
     for shape in shapes:
         for raw in eps_raw:
@@ -202,11 +179,7 @@ def _perturbations_from(parser: configparser.ConfigParser, seed: int) -> list[Pe
             except ValueError as exc:
                 raise ConfigError(f"[stability] epsilons: bad number {raw!r}") from exc
             try:
-                perts.append(
-                    Perturbation(
-                        epsilon=eps, shape=shape, frequency=frequency, seed=seed, modes=modes
-                    )
-                )
+                perts.append(Perturbation(epsilon=eps, shape=shape, seed=seed, **params))
             except ValueError as exc:
                 raise ConfigError(f"[stability] {exc}") from exc
     return perts
@@ -214,9 +187,8 @@ def _perturbations_from(parser: configparser.ConfigParser, seed: int) -> list[Pe
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     known = {"problem", "solve", "stability", "output"}
     extra = sorted(set(parser.sections()) - known)
@@ -225,24 +197,8 @@ def parse_config(path: str) -> ExperimentConfig:
     if not parser.has_section("problem"):
         raise ConfigError("missing required section [problem]")
 
-    out_dir, out_format, seed = "out", "csv", 0
-    if parser.has_section("output"):
-        section = parser["output"]
-        _check_unknown_keys(section, _OUTPUT_KEYS)
-        out_dir = section.get("directory", "out")
-        out_format = section.get("format", "csv")
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"[output] format must be csv or json, got {out_format!r}")
-        seed = _int(section, "seed", 0)
-
+    output = _fields(parser, "output", _OUTPUT_KEYS)
     problem = _problem_from(parser["problem"])
-    solve_cfg = _solve_from(parser)
-    perts = _perturbations_from(parser, seed)
-    return ExperimentConfig(
-        problem=problem,
-        solve=solve_cfg,
-        perturbations=perts,
-        out_dir=out_dir,
-        out_format=out_format,
-        seed=seed,
-    )
+    cfg = ExperimentConfig(problem=problem, solve=_solve_from(parser), **output)
+    cfg.perturbations = _perturbations_from(parser, cfg.seed)
+    return cfg

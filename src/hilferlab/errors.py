@@ -27,9 +27,5 @@ class DelayRangeError(HilferLabError, ValueError):
     """A delayed argument fell below the covered history window."""
 
 
-class GridMismatchError(HilferLabError, ValueError):
-    """Two trajectories that must share a grid do not."""
-
-
 class ConfigError(HilferLabError, ValueError):
     """Experiment configuration failed to parse or validate."""

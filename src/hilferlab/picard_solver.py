@@ -127,7 +127,7 @@ def _rhs(
 class _Workspace:
     """Per-grid precomputation shared by all sweeps of one solve."""
 
-    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int = 64):
+    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
         self.problem = problem
         self.grid = grid
         self.subdivisions = subdivisions
@@ -238,6 +238,18 @@ def certify_contraction(problem: DelayFFIDE) -> tuple[float, float, Optional[str
     return theta, bielecki, ("theta" if theta < 1.0 else None)
 
 
+def grid_for(problem: DelayFFIDE, config: SolveConfig) -> Grid:
+    """The grid ``config`` describes for ``problem``; a solve without ``grid=`` uses it."""
+    return make_grid(
+        problem.psi,
+        problem.b,
+        config.grid_size,
+        problem.r,
+        history_size=config.history_size,
+        uniform_in=config.grid_uniform_in,
+    )
+
+
 def solve(
     problem: DelayFFIDE,
     config: SolveConfig,
@@ -253,14 +265,7 @@ def solve(
     """
     validate_problem(problem)
     if grid is None:
-        grid = make_grid(
-            problem.psi,
-            problem.b,
-            config.grid_size,
-            problem.r,
-            history_size=config.history_size,
-            uniform_in=config.grid_uniform_in,
-        )
+        grid = grid_for(problem, config)
     ws = _Workspace(problem, grid, subdivisions=config.inner_quad_nodes)
     hist = np.broadcast_to(
         np.asarray(problem.phi(grid.history_nodes), dtype=float),

@@ -54,15 +54,21 @@ class PsiFunction:
     ``fn`` and ``deriv`` must accept scalars or numpy arrays. ``inverse``
     (of psi itself, not of the shifted variable) is optional; grid
     construction falls back to bisection on the bracket without it.
+    ``exact_shift`` is an optional closed form of psi(t) - psi(0) that
+    keeps full relative accuracy as t -> 0, where the plain difference
+    cancels to 0 (and 0 ** (gamma - 1) to inf).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    exact_shift: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def shifted(self, t):
         """psi(t) - psi(0), the working variable of every operator."""
+        if self.exact_shift is not None:
+            return self.exact_shift(t)
         return self.fn(t) - self.fn(0.0)
 
     def invert_shifted(self, x, bracket: tuple[float, float]):

@@ -11,7 +11,9 @@ that same envelope of the true solution, with an explicit constant
 This module constructs admissible perturbations, solves the perturbed
 problems (the perturbation is added to the fixed-point map at the
 integral-equation level, so no numerical differentiation is involved),
-and compares the observed deviation profile against the constant.
+and compares the observed deviation profile against the constant. The
+perturbed problem is always solved on the base solution's grid, so the
+two trajectories are compared node by node.
 
 Independent (problem, perturbation) experiments may run fully in
 parallel; each experiment is deterministic given its seed.
@@ -24,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .picard_solver import SolveConfig, SolveResult, solve
+from .picard_solver import SolveConfig, SolveResult, grid_for, solve
 from .problem_model import DelayFFIDE, estimate_zeta
-from .psi_calculus import Grid, Trajectory, make_grid
+from .psi_calculus import Grid, Trajectory
+from .psi_calculus import make_grid  # noqa: F401  (unused; bench/spans.py wraps this name)
 from .special_functions import MlfParams, gamma as gamma_fn, mittag_leffler, mittag_leffler_values
 
 PERTURBATION_SHAPES = ("constant", "sinusoid", "square_wave", "smooth_random")
@@ -115,22 +117,19 @@ def perturbed_problem(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> De
     return _realize(pert, problem, grid)[0]
 
 
-def uhml_constant(problem: DelayFFIDE, *, kappa: Optional[float] = None) -> float:
+def uhml_constant(problem: DelayFFIDE) -> float:
     """The explicit stability constant C for this problem.
 
-    ``kappa`` defaults to the grid-sup of psi' over [0, b] (the same
-    estimate as zeta in the smallness hypotheses).
+    kappa is the grid-sup of psi' over [0, b] (the same estimate as zeta
+    in the smallness hypotheses).
     """
-    return _uhml_terms(problem, kappa)[0]
+    return _uhml_terms(problem)[0]
 
 
-def _uhml_terms(problem: DelayFFIDE, kappa: Optional[float]) -> tuple[float, float, float, float]:
+def _uhml_terms(problem: DelayFFIDE) -> tuple[float, float, float, float]:
     """(C, kappa, A, psi(b)-psi(0)): the stability constant and the inputs behind it."""
     alpha = problem.order.alpha
-    if kappa is None:
-        kappa = estimate_zeta(problem.psi, problem.b)[1]
-    if problem.lip_h > 0.0 and kappa == 0.0:
-        raise ValueError("kappa must be positive when lip_h > 0")
+    kappa = estimate_zeta(problem.psi, problem.b)[1]
     a_const = 2.0 * problem.lip_f / gamma_fn(alpha + 1.0)
     if problem.lip_h > 0.0:
         a_const += problem.lip_h / kappa
@@ -146,16 +145,12 @@ def solve_perturbed(
     *,
     grid: Optional[Grid] = None,
 ) -> Trajectory:
-    """Solve the problem with the realized forcing; same history and u0."""
+    """Solve the problem with the realized forcing; same history and u0.
+
+    The forcing is realized on ``grid``, by default the config's grid.
+    """
     if grid is None:
-        grid = make_grid(
-            problem.psi,
-            problem.b,
-            config.grid_size,
-            problem.r,
-            history_size=config.history_size,
-            uniform_in=config.grid_uniform_in,
-        )
+        grid = grid_for(problem, config)
     result = solve(perturbed_problem(pert, problem, grid), config, grid=grid)
     return result.trajectory
 
@@ -189,7 +184,6 @@ def verify_uhml(
     pert: Perturbation,
     config: SolveConfig,
     *,
-    grid: Optional[Grid] = None,
     base: Optional[SolveResult] = None,
 ) -> StabilityReport:
     """Solve base and perturbed problems on one grid and compare deviations.
@@ -200,17 +194,13 @@ def verify_uhml(
     those nodes, the numerator being identically zero). Passing means the
     maximum ratio does not exceed the theoretical constant.
 
-    The grid is the base solution's. Without ``base`` the base problem is
-    solved first, on ``grid`` or else on the grid the config describes; a
-    ``grid`` that differs from a given base's raises GridMismatchError.
+    The perturbed problem is solved on the base solution's grid, the only
+    grid of the comparison. Without ``base`` the base problem is solved
+    first, on the grid the config describes; for another grid, pass
+    ``base=solve(problem, config, grid=grid)``.
     """
     if base is None:
-        base = solve(problem, config, grid=grid)
-    elif grid is not None and base.trajectory.grid is not grid and not (
-        np.array_equal(base.trajectory.grid.nodes, grid.nodes)
-        and np.array_equal(base.trajectory.grid.history_nodes, grid.history_nodes)
-    ):
-        raise GridMismatchError("base solution was computed on a different grid")
+        base = solve(problem, config)
     u = base.trajectory
     grid = u.grid
 
@@ -228,7 +218,7 @@ def verify_uhml(
     profile = np.concatenate((ratio_history, ratio_interior))
     c_emp = float(np.max(profile))
 
-    c_theory, kappa, a_const, x_b = _uhml_terms(problem, None)
+    c_theory, kappa, a_const, x_b = _uhml_terms(problem)
     return StabilityReport(
         shape=pert.shape,
         epsilon=pert.epsilon,

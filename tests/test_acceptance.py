@@ -189,7 +189,6 @@ def test_criterion_06_uhml_verification():
                 problem,
                 Perturbation(epsilon=eps, shape=shape),
                 config,
-                grid=grid,
                 base=base,
             )
             c_theory = report.c_theoretical

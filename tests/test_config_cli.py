@@ -4,15 +4,24 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hilferlab
-from hilferlab import ConfigError, DelayFFIDE, SolveConfig, catalog, solve, verify_uhml
+from hilferlab import (
+    ConfigError,
+    DelayFFIDE,
+    Perturbation,
+    SolveConfig,
+    catalog,
+    solve,
+    verify_uhml,
+)
 from hilferlab.cli import main
-from hilferlab.config import parse_config
+from hilferlab.config import ExperimentConfig, parse_config
 
 from conftest import ml_series
 
@@ -163,6 +172,70 @@ class TestParseConfig:
         path = write_config(tmp_path, bad, out="o", fmt="csv", seed=0)
         with pytest.raises(ConfigError, match="history window"):
             parse_config(path)
+
+
+PROBLEM_ONLY = ZERO_F_CONFIG.split("[solve]")[0]
+
+EVERY_SECTION_KEY = PROBLEM_ONLY + """
+[solve]
+grid_size = 50
+inner_quad_nodes = 20
+tol = 1e-8
+max_iter = 31
+norm = bielecki
+bielecki_delta = 0.25
+uniform_in = t
+history_size = 17
+
+[stability]
+shapes = sinusoid
+epsilons = 1e-3
+frequency = 3.5
+modes = 6
+
+[output]
+directory = elsewhere
+format = json
+seed = 9
+"""
+
+
+class TestSectionKeyTables:
+    def test_every_key_reaches_its_field(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, EVERY_SECTION_KEY))
+        assert cfg.solve == SolveConfig(
+            grid_size=50, inner_quad_nodes=20, tol=1e-8, max_iter=31, norm_kind="bielecki",
+            bielecki_delta=0.25, grid_uniform_in="t", history_size=17,
+        )
+        assert all(getattr(cfg.solve, f.name) != f.default for f in fields(SolveConfig))
+        expected = Perturbation(epsilon=1e-3, shape="sinusoid", frequency=3.5, seed=9, modes=6)
+        assert cfg.perturbations == [expected]
+        assert all(getattr(expected, f.name) != f.default for f in fields(Perturbation)
+                   if f.name not in ("epsilon", "shape"))
+        assert (cfg.out_dir, cfg.out_format, cfg.seed) == ("elsewhere", "json", 9)
+
+    def test_absent_keys_keep_the_dataclass_defaults(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, PROBLEM_ONLY))
+        assert cfg == ExperimentConfig(problem=cfg.problem, solve=SolveConfig())
+        text = PROBLEM_ONLY + "\n[stability]\nshapes = constant\nepsilons = 1e-2\n"
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.perturbations == [Perturbation(epsilon=1e-2, shape="constant")]
+
+    def test_bad_integer_names_section_and_key(self, tmp_path):
+        text = EVERY_SECTION_KEY.replace("history_size = 17", "history_size = x")
+        with pytest.raises(ConfigError, match=r"^\[solve\] history_size: expected an integer"):
+            parse_config(write_config(tmp_path, text))
+
+    def test_readme_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(text)
+        cfg = parse_config(str(path))
+        assert cfg.solve == SolveConfig()
+        assert len(cfg.perturbations) == 8
+        assert all(p == Perturbation(epsilon=p.epsilon, shape=p.shape) for p in cfg.perturbations)
+        assert (cfg.out_dir, cfg.out_format, cfg.seed) == ("out", "csv", 0)
 
 
 class TestCmdCheck:

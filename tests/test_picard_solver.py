@@ -18,7 +18,7 @@ from hilferlab import (
     solve,
     trajectory_values,
 )
-from hilferlab.picard_solver import _Workspace
+from hilferlab.picard_solver import _Workspace, grid_for
 
 from conftest import make_linear_problem, ml_series
 
@@ -350,6 +350,40 @@ class TestSolve:
     def test_residual_history_length_matches_iterations(self, worked_problem):
         result = solve(worked_problem, SolveConfig(grid_size=100))
         assert len(result.residual_history) == result.iterations
+
+    def test_default_grid_is_grid_for(self):
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.5, beta=0.5),
+            psi=catalog.make_psi("exponential"),
+            f=catalog.make_f("linear", c1=0.05),
+            h_kernel=None,
+            g=catalog.make_g("no_delay"),
+            phi=catalog.make_phi("constant", value=1.0),
+            u0=1.0, b=1.0, r=0.4, lip_f=0.05,
+        )
+        config = SolveConfig(grid_size=40, history_size=7, grid_uniform_in="t")
+        grid = solve(problem, config).trajectory.grid
+        expected = grid_for(problem, config)
+        assert np.array_equal(grid.nodes, expected.nodes)
+        assert np.array_equal(grid.history_nodes, expected.history_nodes)
+        assert grid.history_nodes.size == 8 and not grid.psi_uniform
+
+    def test_delay_landing_just_above_origin(self):
+        # g(t) = t - 0.3 lands about 1e-17 above 0 at the node t = 0.3; there
+        # psi(t) - psi(0) must not cancel to 0, where u ~ x^(gamma-1) is inf
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.6, beta=0.5),
+            psi=catalog.make_psi("shifted_power", rho=1.5),
+            f=catalog.make_f("linear", c1=0.05, c2=0.05, c3=0.05),
+            h_kernel=catalog.make_h("linear", d1=0.1, d2=0.1),
+            g=catalog.make_g("constant_lag", lag=0.3),
+            phi=catalog.make_phi("cosine"),
+            u0=1.0, b=1.0, r=0.5, lip_f=0.05, lip_h=0.1,
+        )
+        config = SolveConfig(grid_size=150, inner_quad_nodes=16, grid_uniform_in="t")
+        result = solve(problem, config)
+        assert result.converged
+        assert np.all(np.isfinite(result.trajectory.weighted_values))
 
 
 class TestSolveConfig:

@@ -99,6 +99,23 @@ class TestGrid:
             Grid(nodes=np.array(nodes), history_nodes=np.array(history),
                  x=None if x is None else np.array(x))
 
+    @pytest.mark.parametrize(
+        "name,params,exact",
+        [
+            ("identity", {}, lambda t: t),
+            ("exponential", {}, lambda t: t + t * t / 2.0),
+            ("shifted_power", {"rho": 1.5}, lambda t: 1.5 * t + 0.375 * t * t),
+        ],
+    )
+    def test_catalog_shift_is_exact_near_origin(self, name, params, exact):
+        psi = catalog.make_psi(name, **params)
+        t = np.array([0.0, 1e-300, 5.5e-17, 1e-12, 1e-8])
+        x = np.asarray(psi.shifted(t), dtype=float)
+        assert x[0] == 0.0
+        assert np.allclose(x[1:], exact(t[1:]), rtol=1e-15, atol=0.0)
+        far = np.linspace(0.1, 1.0, 10)
+        assert np.allclose(psi.shifted(far), psi.fn(far) - psi.fn(0.0), rtol=1e-14, atol=0.0)
+
     def test_equality_is_identity(self, identity_psi):
         grid = make_grid(identity_psi, 1.0, 10, 0.5)
         twin = make_grid(identity_psi, 1.0, 10, 0.5)

@@ -5,7 +5,6 @@ from scipy.integrate import cumulative_trapezoid
 from hilferlab import (
     DelayFFIDE,
     FractionalOrder,
-    GridMismatchError,
     MlfParams,
     Perturbation,
     SolveConfig,
@@ -171,16 +170,16 @@ class TestVerifyUhml:
         n_hist = report.profile_times[report.profile_times <= 0.0].size
         assert np.all(report.ratio_profile[:n_hist] == 0.0)
 
-    def test_base_reuse_and_grid_mismatch(self, worked_problem):
+    def test_base_reuse(self, worked_problem):
+        # the comparison runs on the base's grid, not on the one the config describes
         config = SolveConfig(grid_size=150)
-        grid = make_grid(worked_problem.psi, 1.0, 150, 0.5)
+        grid = make_grid(worked_problem.psi, 1.0, 149, 0.5)
         base = solve(worked_problem, config, grid=grid)
         pert = Perturbation(epsilon=1e-2, shape="sinusoid")
-        report = verify_uhml(worked_problem, pert, config, grid=grid, base=base)
+        report = verify_uhml(worked_problem, pert, config, base=base)
         assert report.passed
-        other_grid = make_grid(worked_problem.psi, 1.0, 149, 0.5)
-        with pytest.raises(GridMismatchError):
-            verify_uhml(worked_problem, pert, config, grid=other_grid, base=base)
+        times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
+        assert np.array_equal(report.profile_times, times)
 
     def test_envelope_caveat_short_horizon(self):
         problem = DelayFFIDE(
