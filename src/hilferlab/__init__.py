@@ -15,6 +15,7 @@ from .errors import (
     GridError,
     HilferLabError,
     SeriesConvergenceError,
+    SeriesRangeError,
 )
 from .special_functions import MlfParams, beta_fn, gamma, mittag_leffler, mittag_leffler_values
 from .psi_calculus import (
@@ -61,6 +62,7 @@ __all__ = [
     "GridError",
     "HilferLabError",
     "SeriesConvergenceError",
+    "SeriesRangeError",
     "MlfParams",
     "beta_fn",
     "gamma",

@@ -36,13 +36,13 @@ def _psi_identity(params: dict) -> PsiFunction:
         fn=lambda t: np.asarray(t, dtype=float) + 0.0,
         deriv=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         label="identity",
-        inverse=lambda y: np.asarray(y, dtype=float) + 0.0,
+        inverse=lambda x: np.asarray(x, dtype=float) + 0.0,
     )
 
 
 def _psi_exponential(params: dict) -> PsiFunction:
     return PsiFunction(
-        fn=np.exp, deriv=np.exp, label="exponential", inverse=np.log, exact_shift=np.expm1
+        fn=np.exp, deriv=np.exp, label="exponential", inverse=np.log1p, exact_shift=np.expm1
     )
 
 
@@ -54,7 +54,7 @@ def _psi_shifted_power(params: dict) -> PsiFunction:
         fn=lambda t: (np.asarray(t, dtype=float) + 1.0) ** rho,
         deriv=lambda t: rho * (np.asarray(t, dtype=float) + 1.0) ** (rho - 1.0),
         label=f"shifted_power(rho={rho:g})",
-        inverse=lambda y: np.asarray(y, dtype=float) ** (1.0 / rho) - 1.0,
+        inverse=lambda x: np.expm1(np.log1p(np.asarray(x, dtype=float)) / rho),
         exact_shift=lambda t: np.expm1(rho * np.log1p(np.asarray(t, dtype=float))),
     )
 

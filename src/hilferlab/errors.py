@@ -2,8 +2,8 @@
 
 Plain ``ValueError`` / ``OverflowError`` are raised for scalar domain
 violations; the classes below mark failures that callers may want to
-catch selectively (quadrature setup, series truncation, solver blow-up,
-delay bookkeeping, config parsing).
+catch selectively (quadrature setup, series range and truncation, solver
+blow-up, delay bookkeeping, config parsing).
 """
 
 
@@ -17,6 +17,10 @@ class GridError(HilferLabError, ValueError):
 
 class SeriesConvergenceError(HilferLabError, ArithmeticError):
     """A series evaluation hit its term cap before the stopping rule fired."""
+
+
+class SeriesRangeError(HilferLabError, ValueError):
+    """A series evaluation was refused: its argument lies outside the supported range."""
 
 
 class DivergenceError(HilferLabError, ArithmeticError):

@@ -14,6 +14,18 @@ trapezoidal rule, and applies the product-integration operator from
 form, where its origin singularity cancels exactly. :func:`eval_F`
 evaluates the same F_u at a single time.
 
+A solve splits its work into what the iterate does not change and what
+it does. The workspace fixes, once per solve: the history values, the
+probe stage (:func:`hilferlab.psi_calculus.probe`) of every time at which
+F reads u, that is g(t_1..t_N), g(0) and, with a Volterra kernel, the
+(N, M+1) quadrature times and their delays, and the powers x^(1-gamma)
+and x^(gamma-1) of the interior nodes. A sweep recomputes only what
+depends on the iterate: u at the probed times (one interpolation and one
+multiply each), f and h, the fractional integral (whose kernel spectra
+and starting weights are memoized on the grid), and the new node values.
+The loop runs on arrays of node values and builds one Trajectory at the
+end.
+
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
 that regime but flags the result as uncertified.
@@ -39,6 +51,7 @@ from .psi_calculus import (
     Trajectory,
     frac_integral_grid,
     make_grid,
+    probe,
     trajectory_values,
 )
 from .special_functions import gamma as gamma_fn
@@ -98,86 +111,108 @@ class SolveResult:
 
 
 def _rhs(
-    problem: DelayFFIDE, u_of: Callable, s: np.ndarray, u_s: np.ndarray, subdivisions: int
-) -> np.ndarray:
-    """F_u at the 1-D array of times s > 0, given u_s = u(s).
+    problem: DelayFFIDE, probe_at: Callable, s: np.ndarray, subdivisions: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """F_u at the 1-D array of times s > 0, as a function of (node values of w, u(s)).
 
-    The Volterra term int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one
-    trapezoidal rule per row of a (len(s), subdivisions + 1) batch. The
-    first subinterval uses the midpoint sample so that u, which may blow
-    up like a negative power at tau = 0+, is never evaluated at 0.
+    ``probe_at(times)`` is the probe stage of the evaluator (see
+    :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
+    is probed here, once. The Volterra term
+    int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one trapezoidal rule per
+    row of a (len(s), subdivisions + 1) batch. The first subinterval uses
+    the midpoint sample so that u, which may blow up like a negative power
+    at tau = 0+, is never evaluated at 0.
     """
-    g = problem.g
-    u_delayed = u_of(np.asarray(g(s), dtype=float))
-    if problem.h_kernel is None:
-        inner = np.zeros_like(s)
-    else:
+    g, h, f = problem.g, problem.h_kernel, problem.f
+    delayed = probe_at(np.asarray(g(s), dtype=float))
+    if h is not None:
         tau = np.linspace(0.0, s, subdivisions + 1, axis=1)
-        probe = tau.copy()
-        probe[:, 0] = 0.5 * tau[:, 1]
-        vals = problem.h_kernel(
-            s[:, None], probe, u_of(probe), u_of(np.asarray(g(probe), dtype=float))
-        )
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), probe.shape)
-        inner = vals[:, 0] * tau[:, 1] + np.trapezoid(vals[:, 1:], tau[:, 1:], axis=1)
-    f_vals = np.asarray(problem.f(s, u_s, u_delayed, inner), dtype=float)
-    return np.broadcast_to(f_vals, s.shape)
+        times = tau.copy()
+        times[:, 0] = 0.5 * tau[:, 1]
+        current, lagged = probe_at(times), probe_at(np.asarray(g(times), dtype=float))
+        rows = s[:, None]
+
+    def rhs(w_nodes: np.ndarray, u_s: np.ndarray) -> np.ndarray:
+        if h is None:
+            inner = np.zeros_like(s)
+        else:
+            vals = h(rows, times, current(w_nodes), lagged(w_nodes))
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
+            inner = vals[:, 0] * tau[:, 1] + np.trapezoid(vals[:, 1:], tau[:, 1:], axis=1)
+        f_vals = np.asarray(f(s, u_s, delayed(w_nodes), inner), dtype=float)
+        return np.broadcast_to(f_vals, s.shape)
+
+    return rhs
 
 
 class _Workspace:
-    """Per-grid precomputation shared by all sweeps of one solve."""
+    """Everything of one solve that the iterate does not change (see the module docstring).
 
-    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
+    ``history`` defaults to phi at the history nodes. A sweep maps the
+    node values ``[w0, w_1..w_N]`` of one iterate to the next.
+    """
+
+    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int,
+                 history: Optional[np.ndarray] = None):
         self.problem = problem
         self.grid = grid
-        self.subdivisions = subdivisions
         order = problem.order
         self.gamma = order.gamma
         self.t_int = grid.nodes[1:]
         self.x_int = grid.x[1:]
         self.weight = self.x_int ** (1.0 - self.gamma)
+        self.unweight = self.x_int ** (self.gamma - 1.0)
         g_int = np.asarray(problem.g(self.t_int), dtype=float)
-        self.g_origin = float(np.asarray(problem.g(0.0), dtype=float))
+        g_origin = float(np.asarray(problem.g(0.0), dtype=float))
         lo = float(grid.history_nodes[0])
-        for label, values in (("grid nodes", g_int), ("t=0", np.array([self.g_origin]))):
+        for label, values in (("grid nodes", g_int), ("t=0", np.array([g_origin]))):
             if np.any(values < lo - 1e-12 * max(1.0, abs(lo))):
                 raise DelayRangeError(
                     f"delay map at {label} reaches {values.min()} below history start {lo}"
                 )
+        if history is None:
+            history = np.broadcast_to(
+                np.asarray(problem.phi(grid.history_nodes), dtype=float),
+                grid.history_nodes.shape,
+            ).astype(float)
+        self.history = history
         self.w_init = problem.u0 / gamma_fn(self.gamma)
         # The right-hand side inherits the solution's x^(gamma-1) blow-up only
         # through the homogeneous term; with u0 = 0 (or gamma = 1) F is regular
         # at the origin, u(0+) is finite, and the node-0 sample is real data.
         self.origin_hint = None if (self.gamma == 1.0 or problem.u0 == 0.0) else self.gamma
-
-    def rhs_samples(self, traj: Trajectory) -> np.ndarray:
-        """F_u sampled at all grid nodes for the current iterate."""
-        problem = self.problem
-        u_of = traj.evaluator(problem.psi)
-        samples = np.empty(self.grid.nodes.size)
-        samples[1:] = _rhs(
-            problem, u_of, self.t_int, traj.unweight(traj.weighted_values), self.subdivisions
-        )
+        probe_at = partial(probe, grid, problem.psi, self.gamma, history)
+        self.rhs = _rhs(problem, probe_at, self.t_int, subdivisions)
         if self.origin_hint is None:
-            u_origin = traj.initial_weight if self.gamma == 1.0 else 0.0
-            u_origin_delayed = float(u_of(np.array([self.g_origin]))[0])
-            samples[0] = float(problem.f(0.0, u_origin, u_origin_delayed, 0.0))
+            self.origin_delayed = probe_at(np.array([g_origin]))
+
+    def rhs_samples(self, w_nodes: np.ndarray) -> np.ndarray:
+        """F_u sampled at all grid nodes for the iterate with node values ``w_nodes``."""
+        samples = np.empty(self.grid.nodes.size)
+        samples[1:] = self.rhs(w_nodes, w_nodes[1:] * self.unweight)
+        if self.origin_hint is None:
+            u_origin = w_nodes[0] if self.gamma == 1.0 else 0.0
+            u_origin_delayed = float(self.origin_delayed(w_nodes)[0])
+            samples[0] = float(self.problem.f(0.0, u_origin, u_origin_delayed, 0.0))
         else:
             samples[0] = 0.0  # unused: the hinted quadrature ignores the origin sample
         return samples
 
-    def sweep(self, traj: Trajectory) -> np.ndarray:
-        """One application of the integral-equation fixed-point map."""
+    def sweep(self, w_nodes: np.ndarray) -> np.ndarray:
+        """One application of the integral-equation fixed-point map to node values."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = self.rhs_samples(traj)
+            samples = self.rhs_samples(w_nodes)
         if not np.all(np.isfinite(samples)):
             raise DivergenceError("iterate produced a non-finite right-hand side")
         integral = frac_integral_grid(
             self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
         )
-        return self.w_init + self.weight * integral[1:]
+        out = np.empty_like(samples)
+        out[0] = self.w_init
+        out[1:] = self.w_init + self.weight * integral[1:]
+        return out
 
 
 def eval_F(
@@ -191,8 +226,9 @@ def eval_F(
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
     if inner_quad_nodes < 2:
         raise ValueError(f"inner_quad_nodes must be >= 2, got {inner_quad_nodes!r}")
-    u_of = partial(trajectory_values, traj, problem.psi)
-    return float(_rhs(problem, u_of, np.array([s]), u_of(s), inner_quad_nodes)[0])
+    probe_at = partial(probe, traj.grid, problem.psi, traj.gamma, traj.history_values)
+    rhs = _rhs(problem, probe_at, np.array([s]), inner_quad_nodes)
+    return float(rhs(traj.node_values(), trajectory_values(traj, problem.psi, s))[0])
 
 
 def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> Trajectory:
@@ -202,16 +238,9 @@ def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> T
             f"trajectory gamma {traj.gamma!r} does not match problem gamma "
             f"{problem.order.gamma!r}"
         )
-    ws = _Workspace(problem, traj.grid, subdivisions=config.inner_quad_nodes)
-    return replace(traj, weighted_values=ws.sweep(traj), initial_weight=ws.w_init)
-
-
-def _residual_norm(
-    delta_w: np.ndarray, x_int: np.ndarray, config: SolveConfig
-) -> float:
-    if config.norm_kind == "bielecki":
-        return float(np.max(np.exp(-config.bielecki_delta * x_int) * np.abs(delta_w)))
-    return float(np.max(np.abs(delta_w)))
+    ws = _Workspace(problem, traj.grid, config.inner_quad_nodes, traj.history_values)
+    w_next = ws.sweep(traj.node_values())
+    return replace(traj, weighted_values=w_next[1:], initial_weight=ws.w_init)
 
 
 def _geometric_ratio(residuals: list[float]) -> float:
@@ -266,11 +295,7 @@ def solve(
     validate_problem(problem)
     if grid is None:
         grid = grid_for(problem, config)
-    ws = _Workspace(problem, grid, subdivisions=config.inner_quad_nodes)
-    hist = np.broadcast_to(
-        np.asarray(problem.phi(grid.history_nodes), dtype=float),
-        grid.history_nodes.shape,
-    ).astype(float)
+    ws = _Workspace(problem, grid, config.inner_quad_nodes)
 
     theta, bielecki_value, certificate = certify_contraction(problem)
     warning = None
@@ -280,26 +305,31 @@ def solve(
             f"condition is no smaller at any delta; proceeding best-effort"
         )
 
-    traj = Trajectory(
-        grid=grid,
-        weighted_values=np.full(grid.n_intervals, ws.w_init),
-        initial_weight=ws.w_init,
-        history_values=hist,
-        gamma=problem.order.gamma,
-    )
+    damping = None
+    if config.norm_kind == "bielecki":
+        damping = np.exp(-config.bielecki_delta * ws.x_int)
+    w = np.full(grid.nodes.size, ws.w_init)
     residuals: list[float] = []
     converged = False
     for _ in range(config.max_iter):
-        w_next = ws.sweep(traj)
+        w_next = ws.sweep(w)
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError("fixed-point iterate left float64 range")
-        res = _residual_norm(w_next - traj.weighted_values, ws.x_int, config)
+        change = np.abs(w_next[1:] - w[1:])
+        res = float(np.max(change if damping is None else damping * change))
         residuals.append(res)
-        traj = replace(traj, weighted_values=w_next)
+        w = w_next
         if res <= config.tol:
             converged = True
             break
 
+    traj = Trajectory(
+        grid=grid,
+        weighted_values=w[1:],
+        initial_weight=ws.w_init,
+        history_values=ws.history,
+        gamma=problem.order.gamma,
+    )
     return SolveResult(
         trajectory=traj,
         residual_history=residuals,

@@ -20,13 +20,21 @@ Solutions of the fractional problems treated here typically blow up like
 first samples make it exact on ``x^(rho-1+e)``, e in {0, alpha, 2 alpha}
 (Lubich 1986, *Discretized fractional calculus*).
 
+Evaluating a trajectory at fixed times has two stages: :func:`probe` does
+the work that depends on the times alone, once, and returns the apply
+stage, which maps the node values of w to u(t). A Picard solve probes its
+times once and applies every sweep.
+
 Every function here is deterministic and safe to call concurrently. The
-one piece of state is a memo on each :class:`Grid`: the grid-only part of
-the fractional integral (the kernel spectra of the convolution path and
-the starting weights) is built on first use for each
-``(alpha, rho)`` and reused by every later call on that grid, as a Picard
-solve does once per sweep. The memo is a pure function of the grid and
-the key, so a race between threads only computes the same value twice.
+one piece of state is a memo on each :class:`Grid` (:meth:`Grid.memo`):
+values that depend only on the grid are built on first use and reused by
+every later call on that grid. It holds the grid-only part of the
+fractional integral (the kernel spectra of the convolution path and the
+starting weights) for each ``(alpha, rho)``, which a Picard solve reuses
+once per sweep, and the Mittag-Leffler envelope at the interior nodes,
+which every perturbation of a stability run shares. A memo value is a
+pure function of the grid and the key, so a race between threads only
+computes the same value twice.
 """
 
 from __future__ import annotations
@@ -52,8 +60,10 @@ class PsiFunction:
     """An increasing C^1 transform psi with its derivative.
 
     ``fn`` and ``deriv`` must accept scalars or numpy arrays. ``inverse``
-    (of psi itself, not of the shifted variable) is optional; grid
-    construction falls back to bisection on the bracket without it.
+    is optional and inverts the shift: it maps x to the t with
+    psi(t) - psi(0) = x, so a closed form keeps full relative accuracy as
+    x -> 0; grid construction falls back to bisection on the bracket
+    without it.
     ``exact_shift`` is an optional closed form of psi(t) - psi(0) that
     keeps full relative accuracy as t -> 0, where the plain difference
     cancels to 0 (and 0 ** (gamma - 1) to inf).
@@ -75,17 +85,16 @@ class PsiFunction:
         """Solve psi(t) - psi(0) = x for t, elementwise."""
         x = np.asarray(x, dtype=float)
         if self.inverse is not None:
-            return np.asarray(self.inverse(x + self.fn(0.0)), dtype=float)
+            return np.asarray(self.inverse(x), dtype=float)
         # psi increases, so bisect every element at once until no float
         # lies strictly between lo and hi
-        target = x + self.fn(0.0)
         lo, hi = np.full(x.shape, float(bracket[0])), np.full(x.shape, float(bracket[1]))
         while True:
             mid = 0.5 * (lo + hi)
             inside = (lo < mid) & (mid < hi)
             if not inside.any():
                 return hi
-            below = self.fn(mid) < target
+            below = self.shifted(mid) < x
             lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
 
     def deriv_bounds(self, a: float, b: float, n: int = 2049) -> tuple[float, float]:
@@ -111,15 +120,15 @@ class Grid:
     satisfy it, and so do identity-psi grids built uniform in t.
 
     A grid equals only itself: two grids with the same nodes are distinct
-    objects, each with its own memo of quadrature weights (see
-    :func:`frac_integral_grid`). Compare the arrays to compare contents.
+    objects, each with its own :meth:`memo`. Compare the arrays to compare
+    contents.
     """
 
     nodes: np.ndarray
     history_nodes: np.ndarray
     x: Optional[np.ndarray] = None
     psi_uniform: bool = field(init=False)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -150,6 +159,13 @@ class Grid:
             raise GridError("psi must be strictly increasing across the grid nodes")
         uniform = np.array_equal(x, np.linspace(0.0, x[-1], x.size))
         object.__setattr__(self, "psi_uniform", uniform)
+
+    def memo(self, key, build: Callable[[], object]):
+        """The value stored on this grid under ``key``; ``build()`` makes it on first use."""
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo.setdefault(key, build())
+        return found
 
     @property
     def n_intervals(self) -> int:
@@ -233,45 +249,76 @@ class Trajectory:
         """Raw values ``weighted * x^(gamma-1)`` of weighted data at the interior nodes."""
         return weighted * self.grid.x[1:] ** (self.gamma - 1.0)
 
+    def node_values(self) -> np.ndarray:
+        """The weighted values at every node: ``[initial_weight, w_1..w_N]``."""
+        return np.concatenate(([self.initial_weight], self.weighted_values))
+
     def evaluator(self, psi: PsiFunction) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized u(t) for arrays of times in [-r, b].
+        """Vectorized u(t) for arrays of times in [-r, b]: both stages of :func:`probe`."""
+        w_nodes = self.node_values()
+        return lambda times: probe(self.grid, psi, self.gamma, self.history_values, times)(w_nodes)
 
-        For t <= 0 the stored history is interpolated linearly in t. For
-        t > 0 the weighted values are interpolated linearly in x and then
-        unweighted by ``x^(gamma-1)``; for gamma < 1 this correctly blows
-        up as t -> 0+. The node arrays are assembled once, here, so one
-        evaluator serves any number of calls.
-        """
-        x_nodes = self.grid.x
-        w_nodes = np.concatenate(([self.initial_weight], self.weighted_values))
-        hist_t, hist = self.grid.history_nodes, self.history_values
-        gamma = self.gamma
 
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            times = np.asarray(times, dtype=float)
-            out = np.empty_like(times)
-            past = times <= 0.0
-            if np.any(past):
-                out[past] = np.interp(times[past], hist_t, hist)
-            future = ~past
-            if np.any(future):
-                xq = np.asarray(psi.shifted(times[future]), dtype=float)
-                wq = np.interp(xq, x_nodes, w_nodes)
-                out[future] = wq * xq ** (gamma - 1.0)
-            return out
+def probe(
+    grid: Grid, psi: PsiFunction, gamma: float, history_values: np.ndarray, times
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The probe stage of evaluating u at fixed ``times``; returns the apply stage.
 
-        return evaluate
+    For t <= 0 the history values are interpolated linearly in t, here.
+    For t > 0 this computes x = psi(t) - psi(0) and x^(gamma-1). The
+    returned function takes the node values ``[w0, w_1..w_N]`` of the
+    weighted solution, interpolates them linearly in x and unweights by
+    ``x^(gamma-1)`` (for gamma < 1 this correctly blows up as t -> 0+).
+    Times below the history window raise :class:`DelayRangeError`.
+
+    With more times than nodes, numpy.interp's search would dominate every
+    apply, so the panel index j and offset x - x_j of each time are found
+    here and the apply stage does np.interp's arithmetic itself: slope *
+    offset + w_j, with w_j itself at a node hit or past x_N. Both forms
+    give the same bits.
+    """
+    times = np.asarray(times, dtype=float)
+    lo = float(grid.history_nodes[0])
+    if np.any(times < lo - 1e-12 * max(1.0, abs(lo))):
+        raise DelayRangeError(f"time {times.min()} below the covered history window [{lo}, 0]")
+    past = times <= 0.0
+    known = np.zeros(times.shape)
+    known[past] = np.interp(times[past], grid.history_nodes, history_values)
+    future = None if not past.any() else ~past
+    xq = np.asarray(psi.shifted(times if future is None else times[future]), dtype=float)
+    scale = 1.0 if gamma == 1.0 else xq ** (gamma - 1.0)  # x ** 0 is 1.0 for every x
+    x_nodes = grid.x
+    if xq.size <= x_nodes.size:
+        def interpolate(w_nodes: np.ndarray) -> np.ndarray:
+            return np.interp(xq, x_nodes, w_nodes)
+    else:
+        spans = np.diff(x_nodes)
+        j = np.clip(np.searchsorted(x_nodes, xq, side="right") - 1, 0, spans.size)
+        offset = xq - x_nodes[j]
+        hit = (offset <= 0.0) | (xq >= x_nodes[-1])
+
+        def interpolate(w_nodes: np.ndarray) -> np.ndarray:
+            slopes = np.zeros(w_nodes.shape)  # slot N is read only at hits, which take w_j
+            slopes[:-1] = np.diff(w_nodes) / spans
+            w_j = w_nodes[j]
+            values = slopes[j] * offset + w_j
+            np.copyto(values, w_j, where=hit)
+            return values
+
+    if future is None:
+        return lambda w_nodes: interpolate(w_nodes) * scale
+
+    def apply(w_nodes: np.ndarray) -> np.ndarray:
+        out = known.copy()
+        out[future] = interpolate(w_nodes) * scale
+        return out
+
+    return apply
 
 
 def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
-    """Evaluate u(t) anywhere on [-r, b] (see :meth:`Trajectory.evaluator`)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lo = float(traj.grid.history_nodes[0])
-    if np.any(t_arr < lo - 1e-12 * max(1.0, abs(lo))):
-        raise DelayRangeError(
-            f"time {t_arr.min()} below the covered history window [{lo}, 0]"
-        )
-    out = traj.evaluator(psi)(t_arr)
+    """Evaluate u(t) anywhere on [-r, b] (see :func:`probe`)."""
+    out = traj.evaluator(psi)(np.atleast_1d(np.asarray(t, dtype=float)))
     return out if np.ndim(t) else out[0]
 
 
@@ -382,15 +429,14 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.nd
 
 def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
     """(kernel spectra or None, starting weights or None) of I^alpha on grid, memoized."""
-    key = (alpha, rho)
-    found = grid._weights.get(key)
-    if found is None:
+
+    def build() -> tuple:
         x = grid.x
         n = x.size - 1
         spectra = _uniform_spectra(alpha, float(np.diff(x).mean()), n) if grid.psi_uniform else None
-        start = None if rho is None else _starting_weights(alpha, x, rho, spectra)
-        found = grid._weights.setdefault(key, (spectra, start))
-    return found
+        return spectra, None if rho is None else _starting_weights(alpha, x, rho, spectra)
+
+    return grid.memo((alpha, rho), build)
 
 
 def frac_integral_grid(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesConvergenceError
+from .errors import SeriesConvergenceError, SeriesRangeError
 
 #: Largest argument accepted by :func:`gamma` before float64 overflow.
 GAMMA_OVERFLOW_LIMIT = 170.0
@@ -94,14 +94,16 @@ def mittag_leffler_values(params: MlfParams, z: np.ndarray) -> np.ndarray:
     k >= 1 a term grows with |z|, so the series stops once three consecutive
     terms of the largest |z| fall below ``SERIES_TOL``. For z < 0 the terms
     alternate, and a term above ``SERIES_TOL / eps`` would leave rounding
-    noise above the tolerance: that raises ValueError. The result has the
+    noise above the tolerance. Both refusals, an argument beyond
+    :func:`series_radius` and a cancelling negative one, raise
+    :class:`SeriesRangeError`, a ``ValueError``. The result has the
     shape of ``z``; z = 0 gives exactly 1/Gamma(beta).
     """
     z = np.asarray(z, dtype=float)
     alpha, beta = params.alpha, params.beta
     top, z_min = float(np.max(np.abs(z), initial=0.0)), float(np.min(z, initial=0.0))
     if not top <= series_radius(alpha):  # also refuses nan and inf
-        raise ValueError(
+        raise SeriesRangeError(
             f"|z|={top} outside the supported series range |z| <= {series_radius(alpha)} "
             f"for alpha={alpha}"
         )
@@ -116,7 +118,7 @@ def mittag_leffler_values(params: MlfParams, z: np.ndarray) -> np.ndarray:
         for k in range(1, MAX_TERMS):
             log_gamma = math.lgamma(alpha * k + beta)
             if k * log_neg - log_gamma > math.log(cancel_limit):
-                raise ValueError(
+                raise SeriesRangeError(
                     f"E_{{{alpha},{beta}}}({z_min}) cancels: its terms exceed the "
                     f"negative-argument limit SERIES_TOL/eps = {cancel_limit:.3g}"
                 )

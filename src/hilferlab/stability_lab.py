@@ -89,12 +89,23 @@ def ml_envelope(alpha: float, psi, t) -> np.ndarray:
     return mittag_leffler_values(MlfParams(alpha=alpha, beta=1.0), x ** alpha)
 
 
+def _interior_envelope(alpha: float, psi, grid: Grid) -> np.ndarray:
+    """:func:`ml_envelope` at the interior nodes, built once per grid, alpha and psi."""
+
+    def build() -> np.ndarray:
+        envelope = ml_envelope(alpha, psi, grid.nodes[1:])
+        if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
+            raise AssertionError("Mittag-Leffler envelope must be nondecreasing in t")
+        envelope.flags.writeable = False  # shared by every perturbation on the grid
+        return envelope
+
+    return grid.memo(("ml_envelope", alpha, psi), build)
+
+
 def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> tuple[DelayFFIDE, np.ndarray]:
     """The problem with the realized forcing added to f, and the envelope at the interior nodes."""
     t_int = grid.nodes[1:]
-    envelope = ml_envelope(problem.order.alpha, problem.psi, t_int)
-    if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
-        raise AssertionError("Mittag-Leffler envelope must be nondecreasing in t")
+    envelope = _interior_envelope(problem.order.alpha, problem.psi, grid)
     shape = _shape_profile(pert, t_int, problem.b)
     values = pert.epsilon * shape * envelope
     if np.any(np.abs(values) > pert.epsilon * envelope * (1.0 + 1e-12)):

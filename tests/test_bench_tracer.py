@@ -2,14 +2,19 @@
 
 ``bench/spans.py`` replaces public names in the package's modules with
 timing wrappers; a refactor that unbinds one of those names makes
-``bench/run.py --trace 1`` crash. This test installs the tracer on the
-package and puts every original back.
+``bench/run.py --trace 1`` crash. One test installs the tracer on the
+package and puts every original back; the other runs
+``bench/selfcheck.py``, which also fails when a wrapped layer is no
+longer called or tracing changes an output byte.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _load_spans():
@@ -27,3 +32,9 @@ def test_tracer_installs_and_restores_every_name():
     finally:
         broken = tracer.patcher.restore()
     assert broken == []
+
+
+def test_bench_selfcheck_passes():
+    done = subprocess.run([sys.executable, str(BENCH / "selfcheck.py")], cwd=BENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

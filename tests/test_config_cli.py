@@ -18,6 +18,7 @@ from hilferlab import (
     SolveConfig,
     catalog,
     solve,
+    stability_lab,
     verify_uhml,
 )
 from hilferlab.cli import main
@@ -80,6 +81,34 @@ lip_f = 0.0
 
 [solve]
 grid_size = 50
+
+[output]
+directory = {out}
+"""
+
+
+SERIES_RANGE_CONFIG = """
+[problem]
+psi = exponential
+alpha = 0.5
+beta = 1.0
+b = 8.0
+r = 0.5
+u0 = 1.0
+f = linear
+f_c1 = 0.05
+h = none
+g = constant_lag
+g_lag = 0.5
+phi = cosine
+lip_f = 0.05
+
+[solve]
+grid_size = 200
+
+[stability]
+shapes = constant
+epsilons = 1e-3
 
 [output]
 directory = {out}
@@ -334,6 +363,31 @@ class TestCmdStability:
         for name in sorted(os.listdir(out_a)):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+    def test_envelope_built_once_per_run(self, tmp_path, monkeypatch):
+        # four perturbations share one grid, so one N-point Mittag-Leffler evaluation
+        sizes = []
+        series = stability_lab.mittag_leffler_values
+
+        def counted(params, z):
+            sizes.append(np.size(z))
+            return series(params, z)
+
+        monkeypatch.setattr(stability_lab, "mittag_leffler_values", counted)
+        config = WORKED_CONFIG.replace("constant, sinusoid, square_wave", "constant, sinusoid")
+        path = write_config(tmp_path, config, out=str(tmp_path / "out"), fmt="csv", seed=0)
+        assert main(["stability", "--config", path, "--grid", "150"]) == 0
+        assert len(os.listdir(tmp_path / "out")) == 1 + 4
+        assert sizes.count(150) == 1
+
+    def test_envelope_beyond_series_range_exits_one(self, tmp_path, capsys):
+        # exponential psi on b = 8: E_0.5(x^0.5) reaches |z| = 54.6 > 30
+        path = write_config(tmp_path, SERIES_RANGE_CONFIG, out=str(tmp_path / "out"))
+        assert main(["stability", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "|z| <= 30.0" in err
+        assert "Traceback" not in err
 
 
 class TestOutputFiles:

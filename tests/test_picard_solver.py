@@ -142,7 +142,7 @@ class TestBatchedVolterra:
             gamma=gamma,
         )
         ws = _Workspace(problem, grid, subdivisions=64)
-        samples = ws.rhs_samples(traj)
+        samples = ws.rhs_samples(traj.node_values())
         assert np.all(np.isfinite(samples))
 
         t_int = grid.nodes[1:]

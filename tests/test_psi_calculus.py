@@ -116,6 +116,22 @@ class TestGrid:
         far = np.linspace(0.1, 1.0, 10)
         assert np.allclose(psi.shifted(far), psi.fn(far) - psi.fn(0.0), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("identity", {}), ("exponential", {}), ("shifted_power", {"rho": 2.0}),
+         ("shifted_power", {"rho": 1.5})],
+    )
+    def test_catalog_inverse_round_trip(self, name, params):
+        # inverse maps x to t with psi(t) - psi(0) = x, so grid nodes uniform in psi
+        # land on their own x to 2 ulp, also next to the origin
+        psi = catalog.make_psi(name, **params)
+        eps = np.finfo(float).eps
+        x = np.logspace(-300.0, 0.0, 601)
+        assert np.max(np.abs(psi.shifted(psi.inverse(x)) - x) / x) <= 2.0 * eps
+        grid = make_grid(psi, 1.0, 4000, 0.5)
+        x = grid.x[1:]
+        assert np.max(np.abs(psi.shifted(grid.nodes[1:]) - x) / x) <= 2.0 * eps
+
     def test_equality_is_identity(self, identity_psi):
         grid = make_grid(identity_psi, 1.0, 10, 0.5)
         twin = make_grid(identity_psi, 1.0, 10, 0.5)
@@ -494,6 +510,41 @@ class TestTrajectoryEvaluation:
         assert trajectory_values(traj, identity_psi, t) == pytest.approx(
             2.0 * t ** (gamma - 1.0)
         )
+
+    @pytest.mark.parametrize("gamma", [0.6, 1.0])
+    @pytest.mark.parametrize("many", [False, True])
+    def test_probe_then_apply_is_trajectory_values(self, gamma, many):
+        # one probe serves every iterate: for two sets of node values it gives
+        # trajectory_values bit for bit, and that is the single-stage rule
+        # np.interp(x) * x^(gamma-1) (few times use np.interp, many an index)
+        psi = catalog.make_psi("exponential")
+        grid = make_grid(psi, 1.0, 40, 0.5, history_size=8)
+        nodes = grid.nodes
+        step = 1 if many else 4
+        times = np.concatenate((
+            [-0.5, -0.31, 0.0, 0.2 * nodes[1], 0.7 * nodes[1]], nodes[1::step],
+            0.5 * (nodes[1:-1] + nodes[2:])[::step], [1.0],
+        ))
+        if many:
+            times = np.tile(times, (3, 1))
+        hist = np.cos(grid.history_nodes)
+        apply = psi_calculus.probe(grid, psi, gamma, hist, times)
+        assert (np.count_nonzero(times > 0.0) > grid.x.size) == many
+        for scale in (1.0, -3.5):
+            w_nodes = scale * (1.0 + np.sin(3.0 * grid.x))
+            w_nodes[7] = -0.0
+            traj = Trajectory(grid=grid, weighted_values=w_nodes[1:], initial_weight=w_nodes[0],
+                              history_values=hist, gamma=gamma)
+            got = apply(w_nodes)
+            want = trajectory_values(traj, psi, times)
+            assert got.shape == times.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            future = times > 0.0
+            xq = psi.shifted(times[future])
+            single = np.interp(xq, grid.x, w_nodes) * xq ** (gamma - 1.0)
+            assert np.array_equal(got[future].view(np.int64), single.view(np.int64))
+            past = np.interp(times[~future], grid.history_nodes, hist)
+            assert np.array_equal(got[~future], past)
 
     def test_below_history_window(self, identity_psi):
         grid = make_grid(identity_psi, 1.0, 4, 1.0, history_size=2)

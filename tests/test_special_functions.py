@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from hilferlab import MlfParams, SeriesConvergenceError, beta_fn, gamma, mittag_leffler
+from hilferlab import (
+    HilferLabError,
+    MlfParams,
+    SeriesConvergenceError,
+    SeriesRangeError,
+    beta_fn,
+    gamma,
+    mittag_leffler,
+)
 from hilferlab import special_functions
 from hilferlab.psi_calculus import make_grid
 from hilferlab.special_functions import mittag_leffler_values, series_radius
@@ -142,6 +150,13 @@ class TestMittagLeffler:
             mittag_leffler(MlfParams(alpha=0.2), -11.0)
         with pytest.raises(ValueError):
             mittag_leffler(MlfParams(alpha=0.5), float("nan"))
+
+    @pytest.mark.parametrize("alpha,z", [(0.5, 31.0), (0.2, 10.5), (0.5, -6.0)])
+    def test_refusals_are_series_range_errors(self, alpha, z):
+        # a range refusal and a cancellation refusal: the CLI reports both as errors
+        with pytest.raises(SeriesRangeError) as info:
+            mittag_leffler_values(MlfParams(alpha=alpha), np.array([0.5, z]))
+        assert isinstance(info.value, ValueError) and isinstance(info.value, HilferLabError)
 
     def test_non_convergence_error(self, monkeypatch):
         monkeypatch.setattr(special_functions, "MAX_TERMS", 3)
