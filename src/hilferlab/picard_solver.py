@@ -126,9 +126,10 @@ def _rhs(
     g, h, f = problem.g, problem.h_kernel, problem.f
     delayed = probe_at(np.asarray(g(s), dtype=float))
     if h is not None:
-        tau = np.linspace(0.0, s, subdivisions + 1, axis=1)
-        times = tau.copy()
-        times[:, 0] = 0.5 * tau[:, 1]
+        # the tau nodes of each row, with the first subinterval's midpoint in
+        # place of tau = 0; columns 1.. are the trapezoid nodes
+        times = np.linspace(0.0, s, subdivisions + 1, axis=1)
+        times[:, 0] = 0.5 * times[:, 1]
         current, lagged = probe_at(times), probe_at(np.asarray(g(times), dtype=float))
         rows = s[:, None]
 
@@ -138,7 +139,7 @@ def _rhs(
         else:
             vals = h(rows, times, current(w_nodes), lagged(w_nodes))
             vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
-            inner = vals[:, 0] * tau[:, 1] + np.trapezoid(vals[:, 1:], tau[:, 1:], axis=1)
+            inner = vals[:, 0] * times[:, 1] + np.trapezoid(vals[:, 1:], times[:, 1:], axis=1)
         f_vals = np.asarray(f(s, u_s, delayed(w_nodes), inner), dtype=float)
         return np.broadcast_to(f_vals, s.shape)
 

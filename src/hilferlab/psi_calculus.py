@@ -270,47 +270,22 @@ def probe(
     weighted solution, interpolates them linearly in x and unweights by
     ``x^(gamma-1)`` (for gamma < 1 this correctly blows up as t -> 0+).
     Times below the history window raise :class:`DelayRangeError`.
-
-    With more times than nodes, numpy.interp's search would dominate every
-    apply, so the panel index j and offset x - x_j of each time are found
-    here and the apply stage does np.interp's arithmetic itself: slope *
-    offset + w_j, with w_j itself at a node hit or past x_N. Both forms
-    give the same bits.
     """
     times = np.asarray(times, dtype=float)
     lo = float(grid.history_nodes[0])
     if np.any(times < lo - 1e-12 * max(1.0, abs(lo))):
         raise DelayRangeError(f"time {times.min()} below the covered history window [{lo}, 0]")
     past = times <= 0.0
-    known = np.zeros(times.shape)
-    known[past] = np.interp(times[past], grid.history_nodes, history_values)
-    future = None if not past.any() else ~past
-    xq = np.asarray(psi.shifted(times if future is None else times[future]), dtype=float)
-    scale = 1.0 if gamma == 1.0 else xq ** (gamma - 1.0)  # x ** 0 is 1.0 for every x
-    x_nodes = grid.x
-    if xq.size <= x_nodes.size:
-        def interpolate(w_nodes: np.ndarray) -> np.ndarray:
-            return np.interp(xq, x_nodes, w_nodes)
-    else:
-        spans = np.diff(x_nodes)
-        j = np.clip(np.searchsorted(x_nodes, xq, side="right") - 1, 0, spans.size)
-        offset = xq - x_nodes[j]
-        hit = (offset <= 0.0) | (xq >= x_nodes[-1])
-
-        def interpolate(w_nodes: np.ndarray) -> np.ndarray:
-            slopes = np.zeros(w_nodes.shape)  # slot N is read only at hits, which take w_j
-            slopes[:-1] = np.diff(w_nodes) / spans
-            w_j = w_nodes[j]
-            values = slopes[j] * offset + w_j
-            np.copyto(values, w_j, where=hit)
-            return values
-
-    if future is None:
-        return lambda w_nodes: interpolate(w_nodes) * scale
+    known = np.interp(times[past], grid.history_nodes, history_values)
+    future = ~past
+    xq = np.asarray(psi.shifted(times[future]), dtype=float)
+    scale = xq ** (gamma - 1.0)
+    x_nodes, shape = grid.x, times.shape
 
     def apply(w_nodes: np.ndarray) -> np.ndarray:
-        out = known.copy()
-        out[future] = interpolate(w_nodes) * scale
+        out = np.empty(shape)
+        out[past] = known
+        out[future] = np.interp(xq, x_nodes, w_nodes) * scale
         return out
 
     return apply

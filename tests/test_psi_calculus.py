@@ -516,7 +516,8 @@ class TestTrajectoryEvaluation:
     def test_probe_then_apply_is_trajectory_values(self, gamma, many):
         # one probe serves every iterate: for two sets of node values it gives
         # trajectory_values bit for bit, and that is the single-stage rule
-        # np.interp(x) * x^(gamma-1) (few times use np.interp, many an index)
+        # np.interp(x) * x^(gamma-1), for a flat set and for a 2-D batch with
+        # more times than nodes (the shape of the Volterra probes)
         psi = catalog.make_psi("exponential")
         grid = make_grid(psi, 1.0, 40, 0.5, history_size=8)
         nodes = grid.nodes
