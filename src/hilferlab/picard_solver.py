@@ -293,12 +293,15 @@ def solve(
     converge is reported in the result; non-finite iterates raise
     :class:`DivergenceError`.
     """
-    validate_problem(problem)
-    if grid is None:
-        grid = grid_for(problem, config)
+    def checked() -> tuple[float, float, Optional[str]]:
+        validate_problem(problem)
+        return certify_contraction(problem)
+    # f enters no check, so the perturbed solves of a stability run reuse the base solve's
+    checks = checked() if grid is None else None  # before make_grid, which a bad psi breaks
+    grid = grid_for(problem, config) if grid is None else grid
+    theta, bielecki_value, certificate = grid.memo(
+        ("checked", *problem.unforced_fields()), lambda: checks or checked())
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
-
-    theta, bielecki_value, certificate = certify_contraction(problem)
     warning = None
     if certificate is None:
         warning = (

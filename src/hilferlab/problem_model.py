@@ -81,6 +81,10 @@ class DelayFFIDE:
         if self.lip_f < 0.0 or self.lip_h < 0.0:
             raise ValueError("Lipschitz constants must be nonnegative")
 
+    def unforced_fields(self) -> tuple:
+        """Every field but f, a memo key: a stability run's perturbed problems differ only in f."""
+        return tuple(value for name, value in vars(self).items() if name != "f")
+
 
 def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:
     """Sampled sanity checks: g(t) <= t, g(t) >= -r, phi finite, psi' > 0."""

@@ -31,10 +31,10 @@ values that depend only on the grid are built on first use and reused by
 every later call on that grid. It holds the grid-only part of the
 fractional integral (the kernel spectra of the convolution path and the
 starting weights) for each ``(alpha, rho)``, which a Picard solve reuses
-once per sweep, and the Mittag-Leffler envelope at the interior nodes,
-which every perturbation of a stability run shares. A memo value is a
-pure function of the grid and the key, so a race between threads only
-computes the same value twice.
+once per sweep, and what every perturbation of a stability run shares:
+the Mittag-Leffler envelope and a problem's checks and stability constant.
+A memo value is a pure function of the grid and the key, so a race
+between threads only computes the same value twice.
 """
 
 from __future__ import annotations

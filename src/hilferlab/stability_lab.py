@@ -229,7 +229,8 @@ def verify_uhml(
     profile = np.concatenate((ratio_history, ratio_interior))
     c_emp = float(np.max(profile))
 
-    c_theory, kappa, a_const, x_b = _uhml_terms(problem)
+    c_theory, kappa, a_const, x_b = grid.memo(  # f does not enter: every perturbation shares it
+        ("uhml_terms", *problem.unforced_fields()), lambda: _uhml_terms(problem))
     return StabilityReport(
         shape=pert.shape,
         epsilon=pert.epsilon,

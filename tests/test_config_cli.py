@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hilferlab
 from hilferlab import (
@@ -17,11 +19,12 @@ from hilferlab import (
     Perturbation,
     SolveConfig,
     catalog,
+    picard_solver,
     solve,
     stability_lab,
     verify_uhml,
 )
-from hilferlab.cli import main
+from hilferlab.cli import _tokens, _write, main
 from hilferlab.config import ExperimentConfig, parse_config
 
 from conftest import ml_series
@@ -112,6 +115,38 @@ epsilons = 1e-3
 
 [output]
 directory = {out}
+"""
+
+
+# gamma = 0.75 < 1 with exponential psi, shaped like the singular_exp_psi benchmark:
+# weighted_u differs from u and psi_t from t, so a swapped column shows
+SINGULAR_EXP_CONFIG = """
+[problem]
+psi = exponential
+alpha = 0.5
+beta = 0.5
+b = 1.0
+r = 0.5
+u0 = 1.0
+f = linear
+f_c1 = 0.05
+h = none
+g = no_delay
+phi = constant
+phi_value = 1.0
+lip_f = 0.05
+
+[solve]
+grid_size = 200
+
+[stability]
+shapes = constant, smooth_random
+epsilons = 1e-3
+
+[output]
+directory = {out}
+format = {fmt}
+seed = {seed}
 """
 
 
@@ -381,6 +416,22 @@ class TestCmdStability:
         assert len(os.listdir(tmp_path / "out")) == 1 + 4
         assert sizes.count(150) == 1
 
+    def test_problem_checks_once_per_run(self, tmp_path, monkeypatch):
+        # f enters neither the hypothesis checks nor the stability constant, so the
+        # base solve computes them and the four perturbed solves reuse them
+        calls = []
+        for module, name in ((picard_solver, "validate_problem"),
+                             (picard_solver, "certify_contraction"),
+                             (stability_lab, "estimate_zeta")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        config = WORKED_CONFIG.replace("constant, sinusoid, square_wave", "constant, sinusoid")
+        path = write_config(tmp_path, config, out=str(tmp_path / "out"), fmt="csv", seed=0)
+        assert main(["stability", "--config", path, "--grid", "150"]) == 0
+        assert sorted(calls) == ["certify_contraction", "estimate_zeta", "validate_problem"]
+
     def test_envelope_beyond_series_range_exits_one(self, tmp_path, capsys):
         # exponential psi on b = 8: E_0.5(x^0.5) reaches |z| = 54.6 > 30
         path = write_config(tmp_path, SERIES_RANGE_CONFIG, out=str(tmp_path / "out"))
@@ -390,35 +441,81 @@ class TestCmdStability:
         assert "Traceback" not in err
 
 
+# one short run of each command; verify-operators takes no config
+CLI_RUNS = [
+    ["check"], ["solve", "--grid", "100"], ["stability", "--grid", "100"],
+    ["verify-operators", "--psi", "identity", "--grid", "64", "--grid", "128"],
+]
+
+
 class TestOutputFiles:
     def test_bytes_match_a_per_value_formatter(self, tmp_path):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, WORKED_CONFIG, out=str(out), fmt="csv", seed=5)
-        assert main(["solve", "--config", path, "--grid", "150"]) == 0
-        assert main(["stability", "--config", path, "--grid", "150"]) == 0
-        cfg = parse_config(path)
-        cfg.solve = replace(cfg.solve, grid_size=150)
-        result = solve(cfg.problem, cfg.solve)
-        traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
-        grid = traj.grid
-        lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
-        for t, u in zip(grid.history_nodes, traj.history_values):
-            lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
-        u_int = traj.unweight(traj.weighted_values)
-        for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
-            lines.append(f"{t:.17g},{psi.fn(t):.17g},{w:.17g},{u:.17g},{its}")
-        assert (out / "solution.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-        for pert in (cfg.perturbations[0], cfg.perturbations[-1]):
-            report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
-            lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
-                                   for t, r in zip(report.profile_times, report.ratio_profile)]
-            name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"
-            assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+        # the gamma = 1 identity-psi worked problem and a gamma < 1 exponential-psi one
+        for stem, config in (("worked", WORKED_CONFIG), ("singular", SINGULAR_EXP_CONFIG)):
+            out = tmp_path / stem
+            path = write_config(tmp_path, config, name=f"{stem}.ini", out=str(out),
+                                fmt="csv", seed=5)
+            assert main(["solve", "--config", path, "--grid", "150"]) == 0
+            assert main(["stability", "--config", path, "--grid", "150"]) == 0
+            cfg = parse_config(path)
+            cfg.solve = replace(cfg.solve, grid_size=150)
+            result = solve(cfg.problem, cfg.solve)
+            traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
+            grid = traj.grid
+            lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
+            for t, u in zip(grid.history_nodes, traj.history_values):
+                lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
+            u_int = traj.unweight(traj.weighted_values)
+            for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
+                lines.append(f"{t:.17g},{psi.fn(t):.17g},{w:.17g},{u:.17g},{its}")
+            assert (out / "solution.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+            for pert in (cfg.perturbations[0], cfg.perturbations[-1]):
+                report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
+                lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
+                                       for t, r in zip(report.profile_times, report.ratio_profile)]
+                name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"
+                assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
 
-    @pytest.mark.parametrize("argv", [
-        ["check"], ["solve", "--grid", "100"], ["stability", "--grid", "100"],
-        ["verify-operators", "--psi", "identity", "--grid", "64", "--grid", "128"],
-    ], ids=lambda argv: argv[0])
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=30))
+    @example([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308,
+              1e300, -1e300, 3.0, -42.0, 2.0 ** 53, 0.1])
+    def test_writer_matches_per_value_formatting(self, tmp_path_factory, values):
+        out = tmp_path_factory.getbasetemp() / "writer"
+        arr = np.array(values)
+        assert _tokens(arr, "csv") == [f"{v:.17g}" for v in values]
+        assert _tokens(arr, "json") == [json.dumps(v) for v in values]
+        # a float column, the same values as ready-made cells, a literal with % in it,
+        # an empty cell; then a block of one row whose cells are all shared values
+        note = "5% of 100%s"
+        header = ["v", "cells", "note", "k"]
+        last = [values[0], "x", True, 7]
+        for fmt in ("csv", "json"):
+            _write(str(out), "rows", header, [[arr, _tokens(arr, fmt), note, None], last], fmt)
+        lines = [",".join(header), *(f"{v:.17g},{v:.17g},{note}," for v in values),
+                 f"{values[0]:.17g},x,true,7"]
+        assert (out / "rows.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        records = [dict(zip(header, [v, v, note, None])) for v in values]
+        expected = json.dumps([*records, dict(zip(header, last))], indent=2) + "\n"
+        assert (out / "rows.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: argv[0])
+    def test_json_files_are_json_dump_bytes(self, tmp_path, argv):
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "o"), fmt="json", seed=2)
+        config = [] if argv[0] == "verify-operators" else ["--config", path]
+        for run in ("a", "b"):
+            assert main(argv + config + ["--out", str(tmp_path / run), "--format", "json"]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names and names == sorted(os.listdir(tmp_path / "b"))
+        for name in names:
+            data = (tmp_path / "a" / name).read_bytes()
+            rows = json.loads(data)
+            assert data == (json.dumps(rows, indent=2) + "\n").encode(), name
+            assert (tmp_path / "b" / name).read_bytes() == data, name
+            if name == "operator_checks.json":
+                assert any(row["observed_order"] is None for row in rows)
+
+    @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: argv[0])
     def test_json_mirrors_csv(self, tmp_path, argv):
         path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "unused"), fmt="csv", seed=2)
         config = [] if argv[0] == "verify-operators" else ["--config", path]
