@@ -4,12 +4,15 @@ Exit codes: 0 success (hypotheses certified / solve converged), 1 config
 error, 2 hypotheses uncertified, 3 solver divergence or non-convergence.
 All outputs are plot-ready CSV (or JSON mirroring the same rows); runs
 with identical config and seed produce byte-identical files. :func:`_write`
-writes each, one ``%`` fill per block of rows, with no Python call per value.
+writes each. A CSV float cell is exactly Python's ``"%.17g" % v``: one numpy
+kernel (:func:`_g17`) formats whole arrays, and each chunk of rows is written
+as one byte matrix. A JSON file is one ``%`` fill per block of rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,38 +50,258 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The %.17g kernel covers |v| in [1e-280, 1e281): there the scales 10^(16-k) and the
+# Veltkamp splits of them and of |v| stay normal and finite. Other values fall back.
+_K_MIN, _K_MAX = -280, 280
+_E_MIN = _K_MIN - 1  # the tables' first power of ten: floor(log10|v|) can be one low
+_CELL = 32  # bytes per cell: sign and "0.000" in 0-6, 18 significand slots in 7-24, e+XXX after
+# A layout is (class, digits kept): classes 0-20 are fixed notation for exponents -4 to 16,
+# class 21 is e-notation
+_LAYOUTS = 22 * 18
+# values per kernel call: keeps each temporary under 128 KiB, where malloc reuses heap
+# memory instead of mapping (and faulting in) fresh pages on every call
+_CHUNK = 3200
+_SEPARATORS = np.frombuffer(b",\n", np.uint8).reshape(2, 1, 1)
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """The kernel's tables (about 160 KB), built on first use.
+
+    For 10^e, e in [_E_MIN, 16 - _K_MIN]: hi (correctly rounded), hi's Veltkamp
+    split, lo (the rounded rest) and the least double >= 10^e. The 4-digit ASCII
+    blocks, and per block position the digits kept up to the block's last nonzero
+    digit. Per layout, the cell bytes that take digit j and digit j - 1, and per
+    sign and layout the literal bytes (sign, "0.000" prefix, point). The e+XX and
+    e+XXX suffixes per exponent.
+    """
+    scales = []
+    for e in range(_E_MIN, 17 - _K_MIN):
+        if e >= 0:
+            hi = float(10 ** e)
+            lo = float(10 ** e - int(hi))
+        else:  # int / int rounds correctly
+            hi = 1 / 10 ** -e
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -e) / (den * 10 ** -e)
+        scales.append((hi, lo, math.nextafter(hi, math.inf) if lo > 0.0 else hi))
+    hi, lo, at_least = np.array(scales).T
+    split = hi * 134217729.0
+    hi_hi = split - (split - hi)
+    scale = (hi, hi_hi, hi - hi_hi, lo)
+
+    # float arithmetic and byte gathers, the kernel's own operations, build the digit tables
+    n = np.arange(10000.0)
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    counts = np.frombuffer(bytes(range(18)), np.uint8)
+    blocks = np.empty((10000, 4), dtype=np.uint8)
+    last = np.ones(10000)  # position of the last nonzero digit
+    for i, unit in enumerate((1000.0, 100.0, 10.0, 1.0)):
+        digit = np.floor(n / unit) - np.floor(n / (10.0 * unit)) * 10.0
+        blocks[:, i] = ascii_digits[digit.astype(np.intp)]
+        last[digit > 0] = i + 1.0
+    kept = np.empty((4, 10000), dtype=np.uint8)  # digits kept up to the last nonzero one
+    for i in range(4):
+        kept[i] = counts[(last + 4 * i + 1).astype(np.intp)]
+    kept[:, 0] = 1  # a zero block keeps no digit: the lead digit is always kept
+
+    own, shifted, literal = bytearray(), bytearray(), (bytearray(), bytearray())
+    for cls in range(22):
+        x = cls - 4 if cls < 21 else 0
+        head = b"0." + b"0" * (3 - cls) if cls < 4 else b""
+        point = 17 if x < 0 else x  # the point follows this digit; 17: it is in the prefix
+        for count in range(18):
+            dotted = count > point + 1
+            before = point + 1 if dotted else max(count, x + 1)  # digits before the point
+            own += bytes(7) + b"\1" * before + bytes(_CELL - 7 - before)
+            shifted += (bytes(8 + before) + b"\1" * (count - before) + bytes(_CELL - 8 - count)
+                        if dotted else bytes(_CELL))
+            for sign, table in zip((b"", b"-"), literal):
+                cell = bytearray(_CELL)
+                cell[7 - len(sign + head):7] = sign + head
+                if dotted:
+                    cell[7 + before] = 46
+                table += cell
+    suffix = b"".join(bytes(8) if -4 <= x <= 16 else (b"\0e%+03d" % x).ljust(8, b"\0")
+                      for x in range(-_K_MAX - 1, _K_MAX + 2))
+    cells = f"V{_CELL}"
+    return (scale, at_least, blocks.view(np.uint32).ravel(), kept.ravel(),
+            np.frombuffer(own, cells), np.frombuffer(shifted, cells),
+            np.frombuffer(literal[0] + literal[1], cells), np.frombuffer(suffix, np.uint64))
+
+
+def _decimal(v: np.ndarray) -> tuple:
+    """(parts, x, certain): |v| = d * 10^(x - 16) with d rounded to 17 digits.
+
+    k = floor(log10|v|) is corrected at powers of ten, and d = round(|v| * 10^(16-k))
+    comes from Dekker's exact product of |v| and hi plus |v| * lo, to within about
+    1e-14. d is in [10^16, 10^17), or 0 for +-0; parts holds its lead digit and its
+    four 4-digit blocks, split exactly in floating point. Not certain: within 1e-9
+    of a rounding tie, non-finite, or |v| outside [1e-280, 1e281).
+    """
+    scale, at_least = _g17_tables()[:2]
+    a = np.abs(v)
+    zero = a == 0.0
+    certain = (a >= 1e-280) & (a < 1e281)
+    a[~certain] = 1.0
+    k = np.floor(np.log10(a))  # log10 may round across a power of ten either way
+    e = k.astype(np.intp) - _E_MIN
+    k[a >= at_least[e + 1]] += 1.0
+    k[a < at_least[e]] -= 1.0
+    certain &= (k >= _K_MIN) & (k <= _K_MAX)
+    k[~certain] = 0.0
+    i = (16.0 - _E_MIN - k).astype(np.intp)  # 10^(16-k)
+    hi, hi_hi, hi_lo, lo = (column[i] for column in scale)
+    p = a * hi
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    frac = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    rest = np.floor(frac)
+    frac -= rest  # p is an integer above 2^53, so frac decides the rounding
+    rest[frac > 0.5] += 1.0  # d - p
+    certain &= np.abs(frac - 0.5) > 1e-9
+    top = np.floor(p / 1e8)  # d = top * 10^8 + low, every term an integer below 2^53
+    low = (p - top * 1e8) + rest
+    carry = np.floor(low / 1e8)
+    top += carry
+    low -= carry * 1e8
+    up = top >= 1e9  # d = 10^17
+    top[up] = 1e8
+    top[zero] = 0.0
+    low[zero] = 0.0
+    lead = np.floor(top / 1e8)
+    high = np.floor(top / 1e4)  # the lead digit and the first 4-digit block
+    mid = np.floor(low / 1e4)
+    parts = np.empty((5, v.size), dtype=np.intp)
+    parts[0] = lead
+    parts[1] = high - lead * 1e4
+    parts[2] = top - high * 1e4
+    parts[3] = mid
+    parts[4] = low - mid * 1e4
+    k[up] += 1.0
+    k[zero] = 0.0
+    return parts, k, certain | zero
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """The ``"%.17g" % v`` cells of a float array: row i's non-NUL bytes are v[i]'s cell.
+
+    The layout tables place :func:`_decimal`'s digits, the point, the sign, the
+    "0.000" prefix and the exponent suffix as ``%.17g`` does: fixed notation for
+    exponents -4 to 16, trailing zeros stripped. Values whose rounding is not
+    certain take Python's own ``%.17g``.
+    """
+    _, _, blocks, kept, own, shifted, literal, suffix = _g17_tables()
+    v = np.ravel(values).astype(np.float64, copy=False)
+    n = v.size
+    parts, x, certain = _decimal(v)
+    words = np.zeros((n, _CELL // 4), dtype=np.uint32)
+    words[:, 1:6] = blocks[parts.T]  # digit j at byte 7 + j
+    cls = x + 4.0
+    cls[~((cls >= 0.0) & (cls <= 20.0))] = 21.0  # e-notation
+    count = np.maximum(np.maximum(kept[parts[1]], kept[parts[2] + 10000]),
+                       np.maximum(kept[parts[3] + 20000], kept[parts[4] + 30000]))
+    layout = (cls * 18.0 + count).astype(np.intp)
+    signed = layout.copy()
+    signed[np.signbit(v)] += _LAYOUTS
+    out = literal[signed].view(np.uint8).reshape(n, _CELL)
+    # a significand slot takes digit j (before the point) or digit j - 1 (after it)
+    flat = out.ravel()
+    digits = words.view(np.uint8).ravel()
+    select = own[layout]
+    taken = select.view(np.uint8)
+    taken *= digits
+    flat += taken
+    np.take(shifted, layout, out=select)
+    taken[1:] *= digits[:-1]
+    flat[1:] += taken[1:]
+    out.view(np.uint64)[:, 3] += suffix[(x + (_K_MAX + 1.0)).astype(np.intp)]
+    for i in np.flatnonzero(~certain):
+        cell = b"%.17g" % v[i]
+        out[i] = 0
+        out[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return out
+
+
+def _csv_rows(columns: list[np.ndarray]):
+    """CSV rows of byte columns and float arrays (formatted by :func:`_g17`), in chunks.
+
+    A byte column is a NUL-padded byte matrix with one row per CSV row, or one
+    row that every CSV row shares. Each chunk is one byte array, the rows' cells
+    and separators side by side, whose non-NUL bytes are the chunk's text.
+    """
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    rows = max(len(c) for c in columns)
+    step = _CHUNK // max(1, len(floats))
+    for lo in range(0, rows, step):
+        r = min(rows - lo, step)
+        if floats:
+            cells = _g17(np.column_stack([c[lo:lo + r] for c in floats]))
+            cells = iter(cells.reshape(r, len(floats), -1).transpose(1, 0, 2))
+        parts = []
+        for c in columns:
+            c = next(cells) if c.dtype.kind == "f" else c if len(c) == 1 else c[lo:lo + r]
+            parts += [c, _SEPARATORS[0]]
+        parts[-1] = _SEPARATORS[1]
+        # each piece as one void item per row, so a row is assembled cell by cell
+        parts = [c.view(f"V{c.shape[1]}")[:, 0] for c in parts if c.shape[1]]
+        row = np.empty(r, dtype=[("", c.dtype) for c in parts])
+        for name, c in zip(row.dtype.names, parts):
+            row[name] = c
+        yield row.tobytes().translate(None, b"\0")
+
+
 def _tokens(values: np.ndarray, fmt: str) -> list[str]:
-    """A float array's cells in one fill: ``%.17g`` in CSV, as ``json.dump`` writes them in JSON."""
-    values = values.tolist()
+    """A float array's cells: ``%.17g`` in CSV, as ``json.dump`` writes them in JSON."""
     if fmt == "json":
-        return json.dumps(values)[1:-1].split(", ")
-    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+        return json.dumps(values.tolist())[1:-1].split(", ")
+    return b"".join(_csv_rows([values])).decode().splitlines()
+
+
+def _csv_column(cell, shared) -> np.ndarray:
+    """A block's cell as :func:`_csv_rows` takes it; shared floats come from ``shared``."""
+    if isinstance(cell, float):
+        return next(shared)
+    if isinstance(cell, np.ndarray):
+        return cell
+    if isinstance(cell, list):
+        return np.asarray(cell, dtype="S").view(np.uint8).reshape(len(cell), -1)
+    return np.frombuffer(_fmt(cell).encode(), np.uint8)[None]
 
 
 def _write(out_dir: str, stem: str, header: list[str], blocks: list[list], fmt: str) -> None:
     """Write rows to <stem>.<fmt> (JSON as ``json.dump(rows, indent=2)`` lays them out).
 
-    A block of rows has one cell per column: a float array, a list of :func:`_tokens`
-    cells, or one value all its rows share; it is one ``%`` fill of a row template.
+    A block of rows has one cell per column: a float array, ready-made cells (a
+    list of :func:`_tokens` strings, or in CSV the byte matrix :func:`_g17`
+    returns), or one value all its rows share. In CSV every float, in an array
+    or shared, goes through :func:`_g17` (the shared ones of a file in one call),
+    and :func:`_csv_rows` writes each chunk of rows as one byte matrix. In JSON
+    a block is one ``%`` fill of a row template.
     """
-    json_out = fmt == "json"
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{stem}.{fmt}")
+    if fmt == "csv":
+        shared = [c for block in blocks for c in block if isinstance(c, float)]
+        shared = iter(_g17(np.array(shared))[:, None] if shared else ())
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode() + b"\n")
+            for block in blocks:
+                for text in _csv_rows([_csv_column(c, shared) for c in block]):
+                    fh.write(text)
+        return
     keys = [json.dumps(k).replace("%", "%%") for k in header]
     body = []
     for block in blocks:
-        if json_out:
-            block = [_tokens(c, fmt) if isinstance(c, np.ndarray) else c for c in block]
-        columns = [c for c in block if isinstance(c, (np.ndarray, list))]
-        slots = ["%.17g" if isinstance(c, np.ndarray) else "%s" if isinstance(c, list)
-                 else (json.dumps(c) if json_out else _fmt(c)).replace("%", "%%") for c in block]
-        row = ("  {\n" + ",\n".join(map("    {}: {}".format, keys, slots)) + "\n  }"
-               if json_out else ",".join(slots))
+        block = [_tokens(c, fmt) if isinstance(c, np.ndarray) else c for c in block]
+        columns = [c for c in block if isinstance(c, list)]
+        slots = ["%s" if isinstance(c, list) else json.dumps(c).replace("%", "%%") for c in block]
+        row = "  {\n" + ",\n".join(map("    {}: {}".format, keys, slots)) + "\n  }"
         values = np.array(columns, dtype=object).T.ravel().tolist()
-        rows = len(columns[0]) if columns else 1
-        body.append((",\n" if json_out else "\n").join([row] * rows) % tuple(values))
-    text = "[\n" + ",\n".join(body) + "\n]" if json_out else "\n".join([",".join(header)] + body)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{stem}.{fmt}"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+        body.append(",\n".join([row] * (len(columns[0]) if columns else 1)) % tuple(values))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("[\n" + ",\n".join(body) + "\n]\n")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -165,7 +388,8 @@ def cmd_stability(args) -> int:
     fmt = cfg.out_format
     grid = base.trajectory.grid
     # every ratio profile lies on the base grid, so its time column is formatted once
-    times = _tokens(np.concatenate((grid.history_nodes, grid.nodes[1:])), fmt)
+    times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
+    times = _g17(times) if fmt == "csv" else _tokens(times, fmt)
     header = ["shape", "epsilon", "c_theoretical", "c_empirical", "passed", "kappa_used"]
     rows: list[list] = []
     all_converged = base.converged
@@ -335,8 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process (27 arguments take about 1 ms)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

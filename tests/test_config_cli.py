@@ -24,7 +24,7 @@ from hilferlab import (
     stability_lab,
     verify_uhml,
 )
-from hilferlab.cli import _tokens, _write, main
+from hilferlab.cli import _g17, _parser, _tokens, _write, build_parser, main
 from hilferlab.config import ExperimentConfig, parse_config
 
 from conftest import ml_series
@@ -448,33 +448,85 @@ CLI_RUNS = [
 ]
 
 
+def assert_files_match_a_per_value_formatter(tmp_path, stem, config, grid, profiles=2):
+    """solve and stability at ``grid``: solution.csv and the ratio profiles of the first
+    and last perturbation (the first ``profiles`` of them) equal per-value f-string files.
+
+    Returns the bytes of solution.csv.
+    """
+    out = tmp_path / stem
+    path = write_config(tmp_path, config, name=f"{stem}.ini", out=str(out), fmt="csv", seed=5)
+    assert main(["solve", "--config", path, "--grid", str(grid)]) == 0
+    assert main(["stability", "--config", path, "--grid", str(grid)]) == 0
+    cfg = parse_config(path)
+    cfg.solve = replace(cfg.solve, grid_size=grid)
+    result = solve(cfg.problem, cfg.solve)
+    traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
+    grid = traj.grid
+    lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
+    for t, u in zip(grid.history_nodes, traj.history_values):
+        lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
+    u_int = traj.unweight(traj.weighted_values)
+    for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
+        lines.append(f"{t:.17g},{psi.fn(t):.17g},{w:.17g},{u:.17g},{its}")
+    solution = (out / "solution.csv").read_bytes()
+    assert solution == ("\n".join(lines) + "\n").encode()
+    for pert in (cfg.perturbations[0], cfg.perturbations[-1])[:profiles]:
+        report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
+        lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
+                               for t, r in zip(report.profile_times, report.ratio_profile)]
+        name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"
+        assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+    return solution
+
+
+def g17_edge_values() -> np.ndarray:
+    """Values where a %.17g formatter goes wrong first, both signs (see TestG17Kernel)."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            2.0 ** np.arange(-1074, 1024)]
+    for c in (2 ** 53, 10 ** 16, 10 ** 17):  # integers around the 17-digit limits
+        near.append(np.array([float(c + d) for d in range(-64, 65)]))
+    ties = np.arange(10 ** 15, 10 ** 15 + 200, dtype=float)  # m + 0.25 scales to a tie
+    near += [ties + 0.25, ties + 0.75, [1234567890123456.25]]
+    near.append([5e-324, 1e-310, 2.2250738585072014e-308, 2.2250738585072009e-308,
+                 1.7976931348623157e308, 0.0, np.inf, np.nan])
+    # the notation boundaries (k = -5, -4, 16, 17), 2- and 3-digit exponents, the kernel's range
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-99, 1e-100, 1e99, 1e100, 1e-280, 1e281])
+    near += [np.nextafter(edges, 0.0), edges * 5.5, np.nextafter(10.0 * edges, 0.0)]
+    values = np.concatenate([np.asarray(v, dtype=float) for v in near])
+    return np.concatenate([values, -values])
+
+
+class TestG17Kernel:
+    def test_cells_are_percent_17g(self):
+        # 200k random bit patterns (every exponent, subnormals, nan payloads) plus the edges
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), g17_edge_values()])
+        with np.errstate(all="raise"):
+            cells = _tokens(values, "csv")
+        assert cells == ["%.17g" % v for v in values.tolist()]
+
+    def test_cells_are_nul_padded_rows(self):
+        values = np.array([0.5, -1e-300, math.nan, 12.0, 1.5e22])
+        cells = _g17(values)
+        assert cells.dtype == np.uint8 and cells.shape[0] == values.size
+        assert [bytes(c).replace(b"\0", b"") for c in cells] == [b"%.17g" % v for v in values]
+
+
 class TestOutputFiles:
     def test_bytes_match_a_per_value_formatter(self, tmp_path):
         # the gamma = 1 identity-psi worked problem and a gamma < 1 exponential-psi one
         for stem, config in (("worked", WORKED_CONFIG), ("singular", SINGULAR_EXP_CONFIG)):
-            out = tmp_path / stem
-            path = write_config(tmp_path, config, name=f"{stem}.ini", out=str(out),
-                                fmt="csv", seed=5)
-            assert main(["solve", "--config", path, "--grid", "150"]) == 0
-            assert main(["stability", "--config", path, "--grid", "150"]) == 0
-            cfg = parse_config(path)
-            cfg.solve = replace(cfg.solve, grid_size=150)
-            result = solve(cfg.problem, cfg.solve)
-            traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
-            grid = traj.grid
-            lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
-            for t, u in zip(grid.history_nodes, traj.history_values):
-                lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
-            u_int = traj.unweight(traj.weighted_values)
-            for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):
-                lines.append(f"{t:.17g},{psi.fn(t):.17g},{w:.17g},{u:.17g},{its}")
-            assert (out / "solution.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-            for pert in (cfg.perturbations[0], cfg.perturbations[-1]):
-                report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
-                lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
-                                       for t, r in zip(report.profile_times, report.ratio_profile)]
-                name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"
-                assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+            assert_files_match_a_per_value_formatter(tmp_path, stem, config, 150)
+
+    def test_bytes_match_a_per_value_formatter_at_benchmark_size(self, tmp_path):
+        # the singular_exp_psi shape at N = 4000, where the time cell 0.77558772205807402
+        # lies 3.7e-7 from a rounding tie of its 17th digit
+        solution = assert_files_match_a_per_value_formatter(
+            tmp_path, "bench", SINGULAR_EXP_CONFIG, 4000, profiles=1)
+        assert b"\n0.77558772205807402," in solution
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=30))
@@ -619,6 +671,18 @@ class TestCmdVerifyOperators:
         assert by_identity["power_rule"][500] < by_identity["power_rule"][250]
         assert by_identity["semigroup"][500] < by_identity["semigroup"][250]
         assert by_identity["classical_alpha1"][500] <= 1e-12
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # 27 add_argument calls take about 1 ms, parse_args 0.06 ms: main keeps one parser
+    built = []
+    monkeypatch.setattr("hilferlab.cli.build_parser", lambda: built.append(1) or build_parser())
+    _parser.cache_clear()
+    path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "o"), fmt="csv", seed=1)
+    assert main(["check", "--config", path]) == 0
+    assert main(["check", "--config", path, "--format", "json"]) == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
