@@ -252,49 +252,41 @@ def _csv_rows(columns: list[np.ndarray]):
         yield row.tobytes().translate(None, b"\0")
 
 
-def _tokens(values: np.ndarray, fmt: str) -> list[str]:
-    """A float array's cells: ``%.17g`` in CSV, as ``json.dump`` writes them in JSON."""
-    if fmt == "json":
-        return json.dumps(values.tolist())[1:-1].split(", ")
-    return b"".join(_csv_rows([values])).decode().splitlines()
+def _tokens(values: np.ndarray) -> list[str]:
+    """A float array's JSON cells, as ``json.dump`` writes them."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
 
-def _csv_column(cell, shared) -> np.ndarray:
-    """A block's cell as :func:`_csv_rows` takes it; shared floats come from ``shared``."""
-    if isinstance(cell, float):
-        return next(shared)
+def _csv_column(cell) -> np.ndarray:
+    """A block's cell as :func:`_csv_rows` takes it: arrays as they are, else one shared cell."""
     if isinstance(cell, np.ndarray):
         return cell
-    if isinstance(cell, list):
-        return np.asarray(cell, dtype="S").view(np.uint8).reshape(len(cell), -1)
     return np.frombuffer(_fmt(cell).encode(), np.uint8)[None]
 
 
 def _write(out_dir: str, stem: str, header: list[str], blocks: list[list], fmt: str) -> None:
     """Write rows to <stem>.<fmt> (JSON as ``json.dump(rows, indent=2)`` lays them out).
 
-    A block of rows has one cell per column: a float array, ready-made cells (a
-    list of :func:`_tokens` strings, or in CSV the byte matrix :func:`_g17`
-    returns), or one value all its rows share. In CSV every float, in an array
-    or shared, goes through :func:`_g17` (the shared ones of a file in one call),
-    and :func:`_csv_rows` writes each chunk of rows as one byte matrix. In JSON
-    a block is one ``%`` fill of a row template.
+    A block of rows has one cell per column: a float array, ready-made cells (in
+    CSV the byte matrix :func:`_g17` returns, in JSON a list of :func:`_tokens`
+    strings), or one value all its rows share. In CSV a float array goes through
+    :func:`_g17`, a shared value through :func:`_fmt` (for a float the same
+    ``%.17g`` bytes), and :func:`_csv_rows` writes each chunk of rows as one byte
+    matrix. In JSON a block is one ``%`` fill of a row template.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.{fmt}")
     if fmt == "csv":
-        shared = [c for block in blocks for c in block if isinstance(c, float)]
-        shared = iter(_g17(np.array(shared))[:, None] if shared else ())
         with open(path, "wb") as fh:
             fh.write(",".join(header).encode() + b"\n")
             for block in blocks:
-                for text in _csv_rows([_csv_column(c, shared) for c in block]):
+                for text in _csv_rows([_csv_column(c) for c in block]):
                     fh.write(text)
         return
     keys = [json.dumps(k).replace("%", "%%") for k in header]
     body = []
     for block in blocks:
-        block = [_tokens(c, fmt) if isinstance(c, np.ndarray) else c for c in block]
+        block = [_tokens(c) if isinstance(c, np.ndarray) else c for c in block]
         columns = [c for c in block if isinstance(c, list)]
         slots = ["%s" if isinstance(c, list) else json.dumps(c).replace("%", "%%") for c in block]
         row = "  {\n" + ",\n".join(map("    {}: {}".format, keys, slots)) + "\n  }"
@@ -389,7 +381,7 @@ def cmd_stability(args) -> int:
     grid = base.trajectory.grid
     # every ratio profile lies on the base grid, so its time column is formatted once
     times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
-    times = _g17(times) if fmt == "csv" else _tokens(times, fmt)
+    times = _g17(times) if fmt == "csv" else _tokens(times)
     header = ["shape", "epsilon", "c_theoretical", "c_empirical", "passed", "kappa_used"]
     rows: list[list] = []
     all_converged = base.converged
@@ -426,14 +418,13 @@ def _sup_rel_error(got: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _power_hint(sigma: float):
-    return sigma if (sigma != 1.0 and sigma < 2.0) else None
+    return sigma if sigma < 2.0 else None
 
 
 def _power_samples(grid, sigma: float) -> np.ndarray:
     x = grid.x
     out = np.zeros_like(x)
     out[1:] = x[1:] ** (sigma - 1.0)
-    out[0] = 1.0 if sigma == 1.0 else 0.0
     return out
 
 

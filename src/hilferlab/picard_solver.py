@@ -8,8 +8,9 @@ The differential problem is solved through its integral form
 
 iterated from the homogeneous term until successive iterates stop moving
 in the weighted (or damped Bielecki) sup-norm. Each sweep samples F_u at
-the grid nodes, taking the Volterra term of every node from one batched
-trapezoidal rule, and applies the product-integration operator from
+all grid nodes, t = 0 included, in one batch with one call of f, takes
+the Volterra term of every node from one batched trapezoidal rule, and
+applies the product-integration operator from
 :mod:`hilferlab.psi_calculus`; the homogeneous term is added in weighted
 form, where its origin singularity cancels exactly. :func:`eval_F`
 evaluates the same F_u at a single time.
@@ -17,9 +18,9 @@ evaluates the same F_u at a single time.
 A solve splits its work into what the iterate does not change and what
 it does. The workspace fixes, once per solve: the history values, the
 probe stage (:func:`hilferlab.psi_calculus.probe`) of every time at which
-F reads u, that is g(t_1..t_N), g(0) and, with a Volterra kernel, the
-(N, M+1) quadrature times and their delays, and the powers x^(1-gamma)
-and x^(gamma-1) of the interior nodes. A sweep recomputes only what
+F reads u, that is g(t_0..t_N) and, with a Volterra kernel, the
+(N+1, M+1) quadrature times and their delays, and the powers x^(1-gamma)
+and x^(gamma-1) of the nodes. A sweep recomputes only what
 depends on the iterate: u at the probed times (one interpolation and one
 multiply each), f and h, the fractional integral (whose kernel spectra
 and starting weights are memoized on the grid), and the new node values.
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DelayRangeError, DivergenceError
+from .errors import DivergenceError
 from .problem_model import DelayFFIDE, check_bielecki, check_theta, validate_problem
 from .psi_calculus import (
     Grid,
@@ -113,7 +114,7 @@ class SolveResult:
 def _rhs(
     problem: DelayFFIDE, probe_at: Callable, s: np.ndarray, subdivisions: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """F_u at the 1-D array of times s > 0, as a function of (node values of w, u(s)).
+    """F_u at the 1-D array of times s >= 0, as a function of (node values of w, u(s)).
 
     ``probe_at(times)`` is the probe stage of the evaluator (see
     :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
@@ -121,14 +122,17 @@ def _rhs(
     int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one trapezoidal rule per
     row of a (len(s), subdivisions + 1) batch. The first subinterval uses
     the midpoint sample so that u, which may blow up like a negative power
-    at tau = 0+, is never evaluated at 0.
+    at tau = 0+, is never evaluated at 0; a row with s = 0 integrates to 0.
     """
     g, h, f = problem.g, problem.h_kernel, problem.f
     delayed = probe_at(np.asarray(g(s), dtype=float))
     if h is not None:
         # the tau nodes of each row, with the first subinterval's midpoint in
-        # place of tau = 0; columns 1.. are the trapezoid nodes
-        times = np.linspace(0.0, s, subdivisions + 1, axis=1)
+        # place of tau = 0; columns 1.. are the trapezoid nodes. This is
+        # np.linspace(0, s, subdivisions + 1, axis=1), whose arithmetic changes
+        # for every row once one row (s = 0) has step 0.
+        times = (s / subdivisions)[:, None] * np.arange(subdivisions + 1.0)
+        times[:, -1] = s
         times[:, 0] = 0.5 * times[:, 1]
         current, lagged = probe_at(times), probe_at(np.asarray(g(times), dtype=float))
         rows = s[:, None]
@@ -150,70 +154,45 @@ class _Workspace:
     """Everything of one solve that the iterate does not change (see the module docstring).
 
     ``history`` defaults to phi at the history nodes. A sweep maps the
-    node values ``[w0, w_1..w_N]`` of one iterate to the next.
+    node values ``[w0, w_1..w_N]`` of one iterate to the next, sampling F
+    at every node, t = 0 included, in one batch. u at node 0 is u(0+):
+    w0 when gamma = 1, else 0, which is exact when u0 = 0; with u0 != 0
+    the origin hint makes the quadrature discard that sample.
     """
 
     def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int,
                  history: Optional[np.ndarray] = None):
         self.problem = problem
         self.grid = grid
-        order = problem.order
-        self.gamma = order.gamma
-        self.t_int = grid.nodes[1:]
-        self.x_int = grid.x[1:]
-        self.weight = self.x_int ** (1.0 - self.gamma)
-        self.unweight = self.x_int ** (self.gamma - 1.0)
-        g_int = np.asarray(problem.g(self.t_int), dtype=float)
-        g_origin = float(np.asarray(problem.g(0.0), dtype=float))
-        lo = float(grid.history_nodes[0])
-        for label, values in (("grid nodes", g_int), ("t=0", np.array([g_origin]))):
-            if np.any(values < lo - 1e-12 * max(1.0, abs(lo))):
-                raise DelayRangeError(
-                    f"delay map at {label} reaches {values.min()} below history start {lo}"
-                )
+        gamma = problem.order.gamma
+        self.weight = grid.x ** (1.0 - gamma)
+        self.unweight = np.concatenate(([float(gamma == 1.0)], grid.x[1:] ** (gamma - 1.0)))
         if history is None:
             history = np.broadcast_to(
                 np.asarray(problem.phi(grid.history_nodes), dtype=float),
                 grid.history_nodes.shape,
             ).astype(float)
         self.history = history
-        self.w_init = problem.u0 / gamma_fn(self.gamma)
+        self.w_init = problem.u0 / gamma_fn(gamma)
         # The right-hand side inherits the solution's x^(gamma-1) blow-up only
         # through the homogeneous term; with u0 = 0 (or gamma = 1) F is regular
         # at the origin, u(0+) is finite, and the node-0 sample is real data.
-        self.origin_hint = None if (self.gamma == 1.0 or problem.u0 == 0.0) else self.gamma
-        probe_at = partial(probe, grid, problem.psi, self.gamma, history)
-        self.rhs = _rhs(problem, probe_at, self.t_int, subdivisions)
-        if self.origin_hint is None:
-            self.origin_delayed = probe_at(np.array([g_origin]))
-
-    def rhs_samples(self, w_nodes: np.ndarray) -> np.ndarray:
-        """F_u sampled at all grid nodes for the iterate with node values ``w_nodes``."""
-        samples = np.empty(self.grid.nodes.size)
-        samples[1:] = self.rhs(w_nodes, w_nodes[1:] * self.unweight)
-        if self.origin_hint is None:
-            u_origin = w_nodes[0] if self.gamma == 1.0 else 0.0
-            u_origin_delayed = float(self.origin_delayed(w_nodes)[0])
-            samples[0] = float(self.problem.f(0.0, u_origin, u_origin_delayed, 0.0))
-        else:
-            samples[0] = 0.0  # unused: the hinted quadrature ignores the origin sample
-        return samples
+        self.origin_hint = None if (gamma == 1.0 or problem.u0 == 0.0) else gamma
+        probe_at = partial(probe, grid, problem.psi, gamma, history)
+        self.rhs = _rhs(problem, probe_at, grid.nodes, subdivisions)
 
     def sweep(self, w_nodes: np.ndarray) -> np.ndarray:
         """One application of the integral-equation fixed-point map to node values."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = self.rhs_samples(w_nodes)
+            samples = self.rhs(w_nodes, w_nodes * self.unweight)
         if not np.all(np.isfinite(samples)):
             raise DivergenceError("iterate produced a non-finite right-hand side")
         integral = frac_integral_grid(
             self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
         )
-        out = np.empty_like(samples)
-        out[0] = self.w_init
-        out[1:] = self.w_init + self.weight * integral[1:]
-        return out
+        return self.w_init + self.weight * integral  # I = 0 at node 0
 
 
 def eval_F(
@@ -311,7 +290,7 @@ def solve(
 
     damping = None
     if config.norm_kind == "bielecki":
-        damping = np.exp(-config.bielecki_delta * ws.x_int)
+        damping = np.exp(-config.bielecki_delta * grid.x[1:])
     w = np.full(grid.nodes.size, ws.w_init)
     residuals: list[float] = []
     converged = False

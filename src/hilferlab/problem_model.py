@@ -173,7 +173,9 @@ def estimate_lipschitz(
     Draws ``sample_count`` seeded pairs of state arguments inside ``box``
     and returns the largest observed ratios
 
-        |f(t, u) - f(t, v)| / sum_i |u_i - v_i|   and the h analogue.
+        |f(t, u) - f(t, v)| / sum_i |u_i - v_i|   and the h analogue,
+
+    with h sampled where F reads it, at 0 <= s <= t <= b.
 
     This is a lower-bound witness for the true constants, useful for
     catching config mistakes; it certifies nothing. Deterministic for a
@@ -199,7 +201,7 @@ def estimate_lipschitz(
     lip_h = 0.0
     if problem.h_kernel is not None:
         th = rng.uniform(0.0, problem.b, size=sample_count)
-        sh = rng.uniform(0.0, problem.b, size=sample_count)
+        sh = th * rng.uniform(0.0, 1.0, size=sample_count)
         a = rng.uniform(lo, hi, size=(sample_count, 2))
         c = rng.uniform(lo, hi, size=(sample_count, 2))
         denom_h = np.sum(np.abs(a - c), axis=1)

@@ -24,7 +24,7 @@ from hilferlab import (
     stability_lab,
     verify_uhml,
 )
-from hilferlab.cli import _g17, _parser, _tokens, _write, build_parser, main
+from hilferlab.cli import _csv_rows, _g17, _parser, _tokens, _write, build_parser, main
 from hilferlab.config import ExperimentConfig, parse_config
 
 from conftest import ml_series
@@ -505,7 +505,7 @@ class TestG17Kernel:
         bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
         values = np.concatenate([bits.view(np.float64), g17_edge_values()])
         with np.errstate(all="raise"):
-            cells = _tokens(values, "csv")
+            cells = b"".join(_csv_rows([values])).decode().splitlines()
         assert cells == ["%.17g" % v for v in values.tolist()]
 
     def test_cells_are_nul_padded_rows(self):
@@ -535,15 +535,16 @@ class TestOutputFiles:
     def test_writer_matches_per_value_formatting(self, tmp_path_factory, values):
         out = tmp_path_factory.getbasetemp() / "writer"
         arr = np.array(values)
-        assert _tokens(arr, "csv") == [f"{v:.17g}" for v in values]
-        assert _tokens(arr, "json") == [json.dumps(v) for v in values]
+        assert [bytes(c).replace(b"\0", b"").decode() for c in _g17(arr)] == [
+            f"{v:.17g}" for v in values]
+        assert _tokens(arr) == [json.dumps(v) for v in values]
         # a float column, the same values as ready-made cells, a literal with % in it,
         # an empty cell; then a block of one row whose cells are all shared values
         note = "5% of 100%s"
         header = ["v", "cells", "note", "k"]
         last = [values[0], "x", True, 7]
-        for fmt in ("csv", "json"):
-            _write(str(out), "rows", header, [[arr, _tokens(arr, fmt), note, None], last], fmt)
+        for fmt, cells in (("csv", _g17(arr)), ("json", _tokens(arr))):
+            _write(str(out), "rows", header, [[arr, cells, note, None], last], fmt)
         lines = [",".join(header), *(f"{v:.17g},{v:.17g},{note}," for v in values),
                  f"{values[0]:.17g},x,true,7"]
         assert (out / "rows.csv").read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -118,31 +118,36 @@ def _inner_integral_per_node(h_kernel, s, u_of, g, subdivisions):
 
 
 class TestBatchedVolterra:
-    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
-    def test_matches_per_node_rule(self, uniform_in):
-        # gamma < 1 with u0 != 0: u blows up at 0+, so the midpoint probe matters
+    @pytest.mark.parametrize("uniform_in, beta, u0", [
+        pytest.param(uniform_in, beta, u0, id=f"{case}{uniform_in}")
+        for case, beta, u0 in (("", 0.5, 1.0), ("gamma1-", 1.0, 1.0), ("u0_zero-", 0.5, 0.0))
+        for uniform_in in ("psi", "t")
+    ])
+    def test_matches_per_node_rule(self, uniform_in, beta, u0):
+        # hinted (gamma < 1, u0 != 0), u blows up at 0+, so the midpoint probe matters
         problem = DelayFFIDE(
-            order=FractionalOrder(alpha=0.6, beta=0.5),
+            order=FractionalOrder(alpha=0.6, beta=beta),
             psi=catalog.make_psi("exponential"),
             f=catalog.make_f("linear", c0=0.2, c1=-0.3, c2=0.4, c3=0.5),
             h_kernel=catalog.make_h("polynomial", scale=0.7, degree=1.5),
             g=catalog.make_g("proportional_lag", scale=0.5, lag=0.2),
             phi=catalog.make_phi("cosine", amplitude=0.5, frequency=2.0),
-            u0=1.0, b=1.0, r=0.5, lip_f=0.5, lip_h=0.7,
+            u0=u0, b=1.0, r=0.5, lip_f=0.5, lip_h=0.7,
         )
         grid = make_grid(problem.psi, problem.b, 200, problem.r, uniform_in=uniform_in)
         gamma = problem.order.gamma
-        assert gamma < 1.0
         x = grid.x[1:]
         traj = Trajectory(
             grid=grid,
             weighted_values=1.0 + 0.5 * np.sin(3.0 * x),
-            initial_weight=1.0 / math.gamma(gamma),
+            initial_weight=u0 / math.gamma(gamma),
             history_values=np.asarray(problem.phi(grid.history_nodes), dtype=float),
             gamma=gamma,
         )
         ws = _Workspace(problem, grid, subdivisions=64)
-        samples = ws.rhs_samples(traj.node_values())
+        assert (ws.origin_hint is None) == (gamma == 1.0 or u0 == 0.0)
+        w_nodes = traj.node_values()
+        samples = ws.rhs(w_nodes, w_nodes * ws.unweight)
         assert np.all(np.isfinite(samples))
 
         t_int = grid.nodes[1:]
@@ -158,6 +163,29 @@ class TestBatchedVolterra:
 
         i = 137
         assert eval_F(problem, traj, t_int[i], 64) == pytest.approx(samples[i + 1], rel=1e-13)
+
+        # unhinted, the node-0 sample is F(0) = f(0, u(0+), u(g(0)), 0) with u(0+) = w0
+        # when gamma = 1 and 0 when u0 = 0; hinted, the quadrature discards it
+        if ws.origin_hint is None:
+            u_origin = traj.initial_weight if gamma == 1.0 else 0.0
+            f_origin = problem.f(0.0, u_origin, u_of(problem.g(np.array([0.0])))[0], 0.0)
+            assert samples[0] == f_origin
+
+    def test_one_f_call_per_sweep(self, worked_problem):
+        calls = []
+
+        def counting_f(t, u1, u2, u3):
+            calls.append(np.shape(t))
+            return worked_problem.f(t, u1, u2, u3)
+
+        problem = DelayFFIDE(
+            order=worked_problem.order, psi=worked_problem.psi, f=counting_f,
+            h_kernel=worked_problem.h_kernel, g=worked_problem.g, phi=worked_problem.phi,
+            u0=1.0, b=1.0, r=0.5, lip_f=0.05, lip_h=0.1,
+        )
+        result = solve(problem, SolveConfig(grid_size=64))
+        assert result.iterations > 1
+        assert calls == [(65,)] * result.iterations
 
 
 class TestPicardStep:
@@ -261,6 +289,28 @@ class TestSolve:
             expected = 1.0 + oracle / math.gamma(alpha)
             got = trajectory_values(result.trajectory, problem.psi, t_probe)
             assert got == pytest.approx(expected, abs=2e-6)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75])
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_origin_sample_is_exact_on_linear_forcing(self, alpha, n):
+        # gamma = 1, u(g(t)) = phi(t - 1) = 0.5 + 0.5 t on [0, 1]: F is linear in t,
+        # the product trapezoid is exact on it, and so is the solve, if F(0) is right
+        c2 = 0.2
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=alpha, beta=1.0),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c2=c2),
+            h_kernel=None,
+            g=catalog.make_g("constant_lag", lag=1.0),
+            phi=catalog.make_phi("linear", intercept=1.0, slope=0.5),
+            u0=1.0, b=1.0, r=1.0, lip_f=c2,
+        )
+        result = solve(problem, SolveConfig(grid_size=n, history_size=16))
+        assert result.converged
+        x = result.trajectory.grid.x[1:]
+        exact = 1.0 + c2 * (0.5 * x ** alpha / math.gamma(alpha + 1.0)
+                            + 0.5 * x ** (alpha + 1.0) / math.gamma(alpha + 2.0))
+        assert np.max(np.abs(result.trajectory.weighted_values - exact)) <= 1e-12
 
     def test_fixed_point_residual(self, worked_problem):
         config = SolveConfig(grid_size=300, tol=1e-10)

@@ -186,6 +186,18 @@ class TestEstimateLipschitz:
         lip_f, _ = estimate_lipschitz(wavy, 500, (-2.0, 2.0), seed=3)
         assert lip_f <= 1.0 + 1e-12
 
+    def test_kernel_sampled_at_s_below_t(self, worked_problem):
+        # (t - s) ** 1.5 is nan for s > t, and pytest turns its RuntimeWarning into an error
+        scale, degree = 0.7, 1.5
+        power = DelayFFIDE(
+            order=worked_problem.order, psi=worked_problem.psi, f=worked_problem.f,
+            h_kernel=catalog.make_h("polynomial", scale=scale, degree=degree),
+            g=worked_problem.g, phi=worked_problem.phi,
+            u0=1.0, b=1.5, r=0.5, lip_f=0.05, lip_h=scale * 1.5 ** degree,
+        )
+        _, lip_h = estimate_lipschitz(power, 500, (-1.0, 1.0), seed=5)
+        assert np.isfinite(lip_h) and 0.0 < lip_h <= scale * power.b ** degree
+
     def test_deterministic_in_seed(self, worked_problem):
         a = estimate_lipschitz(worked_problem, 300, (-1.0, 1.0), seed=11)
         b = estimate_lipschitz(worked_problem, 300, (-1.0, 1.0), seed=11)
