@@ -181,18 +181,20 @@ class _Workspace:
         probe_at = partial(probe, grid, problem.psi, gamma, history)
         self.rhs = _rhs(problem, probe_at, grid.nodes, subdivisions)
 
-    def sweep(self, w_nodes: np.ndarray) -> np.ndarray:
-        """One application of the integral-equation fixed-point map to node values."""
+    def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
+        """One application of the fixed-point map to node values; ``forcing`` is added to F."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
             samples = self.rhs(w_nodes, w_nodes * self.unweight)
-        if not np.all(np.isfinite(samples)):
-            raise DivergenceError("iterate produced a non-finite right-hand side")
-        integral = frac_integral_grid(
-            self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
-        )
-        return self.w_init + self.weight * integral  # I = 0 at node 0
+            if forcing is not None:
+                samples = samples + forcing
+            if not np.all(np.isfinite(samples)):
+                raise DivergenceError("iterate produced a non-finite right-hand side")
+            integral = frac_integral_grid(
+                self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
+            )
+            return self.w_init + self.weight * integral  # I = 0 at node 0
 
 
 def eval_F(
@@ -264,8 +266,12 @@ def solve(
     config: SolveConfig,
     *,
     grid: Optional[Grid] = None,
+    forcing: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Iterate the integral-equation map from the homogeneous initial iterate.
+
+    ``forcing``, samples z at ``grid.nodes`` (shape (N+1,)), is added to
+    F's samples in every sweep: the solve is then of D u = F(u) + z.
 
     Stops when the chosen norm of successive weighted differences falls
     to ``config.tol`` or ``config.max_iter`` sweeps have run. Failure to
@@ -275,11 +281,13 @@ def solve(
     def checked() -> tuple[float, float, Optional[str]]:
         validate_problem(problem)
         return certify_contraction(problem)
-    # f enters no check, so the perturbed solves of a stability run reuse the base solve's
+    # the forced solves of a stability run share the base solve's grid, so they reuse its checks
     checks = checked() if grid is None else None  # before make_grid, which a bad psi breaks
     grid = grid_for(problem, config) if grid is None else grid
+    if forcing is not None and np.shape(forcing) != grid.nodes.shape:
+        raise ValueError(f"forcing has shape {np.shape(forcing)}, the nodes {grid.nodes.shape}")
     theta, bielecki_value, certificate = grid.memo(
-        ("checked", *problem.unforced_fields()), lambda: checks or checked())
+        ("checked", problem), lambda: checks or checked())
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
     warning = None
     if certificate is None:
@@ -295,7 +303,7 @@ def solve(
     residuals: list[float] = []
     converged = False
     for _ in range(config.max_iter):
-        w_next = ws.sweep(w)
+        w_next = ws.sweep(w, forcing)
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError("fixed-point iterate left float64 range")
         change = np.abs(w_next[1:] - w[1:])

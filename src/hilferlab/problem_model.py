@@ -47,16 +47,17 @@ class FractionalOrder:
         return self.alpha + self.beta * (1.0 - self.alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayFFIDE:
     """A delay integrodifferential problem instance.
 
     ``f(t, u1, u2, u3)``, ``h_kernel(t, s, v1, v2)``, ``g(t)`` and
-    ``phi(t)`` must be numpy-vectorized. ``h_kernel=None`` means the
-    inner Volterra term is absent (the delay-only reduction). ``lip_f``
-    and ``lip_h`` are the declared Lipschitz constants with respect to
-    the sum of absolute argument differences; they are inputs, not
-    certified values (see :func:`estimate_lipschitz`).
+    ``phi(t)`` must be numpy-vectorized and hashable (a problem keys grid
+    memos). ``h_kernel=None`` means the inner Volterra term is absent
+    (the delay-only reduction). ``lip_f`` and ``lip_h`` are the declared
+    Lipschitz constants with respect to the sum of absolute argument
+    differences; they are inputs, not certified values (see
+    :func:`estimate_lipschitz`).
     """
 
     order: FractionalOrder
@@ -80,10 +81,6 @@ class DelayFFIDE:
         # right-hand sides (f == 0) remain constructible.
         if self.lip_f < 0.0 or self.lip_h < 0.0:
             raise ValueError("Lipschitz constants must be nonnegative")
-
-    def unforced_fields(self) -> tuple:
-        """Every field but f, a memo key: a stability run's perturbed problems differ only in f."""
-        return tuple(value for name, value in vars(self).items() if name != "f")
 
 
 def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:

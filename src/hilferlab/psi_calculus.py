@@ -32,7 +32,8 @@ every later call on that grid. It holds the grid-only part of the
 fractional integral (the kernel spectra of the convolution path and the
 starting weights) for each ``(alpha, rho)``, which a Picard solve reuses
 once per sweep, and what every perturbation of a stability run shares:
-the Mittag-Leffler envelope and a problem's checks and stability constant.
+the Mittag-Leffler envelope, and the checks and stability constant keyed
+on the (frozen, hashable) problem, whose forced solves run on this grid.
 A memo value is a pure function of the grid and the key, so a race
 between threads only computes the same value twice.
 """
@@ -174,10 +175,6 @@ class Grid:
     @property
     def horizon(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def history_depth(self) -> float:
-        return float(-self.history_nodes[0])
 
 
 def make_grid(

@@ -28,6 +28,7 @@ from hilferlab.cli import _csv_rows, _g17, _parser, _tokens, _write, build_parse
 from hilferlab.config import ExperimentConfig, parse_config
 
 from conftest import ml_series
+from test_acceptance import STABILITY_CONFIG
 
 WORKED_CONFIG = """
 [problem]
@@ -147,6 +148,31 @@ epsilons = 1e-3
 directory = {out}
 format = {fmt}
 seed = {seed}
+"""
+
+
+# D^{1/2} u = c1 u with u0 = 1 on (0, b]; at b = 0.5, Theta = 2.39 * lip_f / 3
+LINEAR_F_CONFIG = """
+[problem]
+psi = identity
+alpha = 0.5
+beta = 1.0
+b = {b}
+r = 0.5
+u0 = 1.0
+f = linear
+f_c1 = {c1}
+h = none
+g = no_delay
+phi = constant
+phi_value = 1.0
+lip_f = {lip_f}
+
+[solve]
+grid_size = 100
+
+[output]
+directory = {out}
 """
 
 
@@ -333,6 +359,15 @@ class TestCmdCheck:
                 (record,) = json.load(fh)
             assert all(type(record[k]) is bool for k in flags)
 
+    def test_lipschitz_warning(self, tmp_path, capsys):
+        # f_c1 = 3 declared as 0.5: certified by the declared constant, refuted by the spot check
+        path = write_config(tmp_path, LINEAR_F_CONFIG, out=str(tmp_path / "o"),
+                            b=0.5, c1=3, lip_f=0.5)
+        assert main(["check", "--config", path]) == 0
+        printed = capsys.readouterr().out
+        assert "lipschitz spot check f / h    = 2.6355437301007303 / 0" in printed
+        assert "WARNING: observed Lipschitz ratio exceeds the declared constant" in printed
+
     def test_malformed_exit_one(self, tmp_path, capsys):
         bad = WORKED_CONFIG.replace("alpha = 0.5", "alpha = maybe")
         path = write_config(tmp_path, bad, out="o", fmt="csv", seed=0)
@@ -361,6 +396,30 @@ class TestCmdSolve:
         stubborn = WORKED_CONFIG.replace("max_iter = 60", "max_iter = 1")
         path = write_config(tmp_path, stubborn, out=str(tmp_path / "o"), fmt="csv", seed=0)
         assert main(["solve", "--config", path]) == 3
+
+    def test_tol_override(self, tmp_path, capsys):
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(tmp_path / "o"), fmt="csv", seed=0)
+        iterations = []
+        for extra in ([], ["--tol", "1e-6"]):
+            assert main(["solve", "--config", path, *extra]) == 0
+            printed = capsys.readouterr().out
+            iterations.append(int(printed.split("iterations=")[1].split()[0]))
+        assert iterations[1] < iterations[0]
+
+    def test_uncertified_solve_warns(self, tmp_path, capsys):
+        path = write_config(tmp_path, LINEAR_F_CONFIG, out=str(tmp_path / "o"),
+                            b=0.5, c1=3, lip_f=3)
+        assert main(["solve", "--config", path]) == 0
+        printed = capsys.readouterr().out
+        assert "theta=2.3936536824085977 certified_by=none" in printed
+        assert "WARNING: contraction uncertified: theta=2.39365 >= 1" in printed
+
+    def test_divergence_exit_three_without_warnings(self, tmp_path, capsys):
+        # the iterate overflows within a few sweeps; RuntimeWarning is an error here
+        path = write_config(tmp_path, LINEAR_F_CONFIG, out=str(tmp_path / "o"),
+                            b=1.0, c1=1e6, lip_f=1e6)
+        assert main(["solve", "--config", path]) == 3
+        assert "solver divergence" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
@@ -399,6 +458,24 @@ class TestCmdStability:
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    def test_seed_override(self, tmp_path):
+        # --seed 7 is the config's seed = 7: same bytes, and another smooth_random profile
+        runs, seven = {}, STABILITY_CONFIG.replace("seed = 42", "seed = 7")
+        for name, text, extra in (("flag", STABILITY_CONFIG, ["--seed", "7"]),
+                                  ("config", seven, []), ("default", STABILITY_CONFIG, [])):
+            out = tmp_path / name
+            path = write_config(tmp_path, text, name=f"{name}.ini", out=str(out))
+            assert main(["stability", "--config", path, *extra]) == 0
+            runs[name] = {p: (out / p).read_bytes() for p in sorted(os.listdir(out))}
+        assert runs["flag"] == runs["config"]
+        profile = "ratio_profile_smooth_random_0.01.csv"
+        assert runs["flag"][profile] != runs["default"][profile]
+
+    def test_envelope_caveat_printed_once(self, tmp_path, capsys):
+        short = WORKED_CONFIG.replace("b = 1.0", "b = 0.5")
+        path = write_config(tmp_path, short, out=str(tmp_path / "o"), fmt="csv", seed=0)
+        assert main(["stability", "--config", path]) == 0
+        assert capsys.readouterr().out.count("note: psi(b)-psi(0) < 1") == 1
 
     def test_envelope_built_once_per_run(self, tmp_path, monkeypatch):
         # four perturbations share one grid, so one N-point Mittag-Leffler evaluation
@@ -417,8 +494,8 @@ class TestCmdStability:
         assert sizes.count(150) == 1
 
     def test_problem_checks_once_per_run(self, tmp_path, monkeypatch):
-        # f enters neither the hypothesis checks nor the stability constant, so the
-        # base solve computes them and the four perturbed solves reuse them
+        # the four forced solves are of the base problem on the base grid, so they
+        # reuse the hypothesis checks and the stability constant of the base solve
         calls = []
         for module, name in ((picard_solver, "validate_problem"),
                              (picard_solver, "certify_contraction"),

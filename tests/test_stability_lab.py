@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -19,7 +21,7 @@ from hilferlab import (
     uhml_constant,
     verify_uhml,
 )
-from hilferlab.stability_lab import _shape_profile, perturbed_problem
+from hilferlab.stability_lab import _realize, _shape_profile
 
 from conftest import ml_series
 
@@ -273,17 +275,41 @@ class TestPachpatte:
             pachpatte_envelope(t, ones, ones[:-1], ones)  # shape mismatch
 
 
-class TestPerturbedProblemWrapper:
-    def test_forcing_enters_rhs_only(self, worked_problem):
+class TestForcing:
+    @pytest.mark.parametrize("shape", ["constant", "sinusoid"])
+    def test_forcing_is_eps_shape_envelope(self, worked_problem, shape):
         grid = make_grid(worked_problem.psi, 1.0, 50, 0.5)
-        pert = Perturbation(epsilon=1e-2, shape="constant")
-        forced = perturbed_problem(pert, worked_problem, grid)
-        assert forced.u0 == worked_problem.u0
-        assert forced.phi is worked_problem.phi
+        pert = Perturbation(epsilon=1e-2, shape=shape)
+        forcing, envelope = _realize(pert, worked_problem, grid)
         t = grid.nodes[1:]
-        envelope = mittag_leffler_values(
+        expected = mittag_leffler_values(
             MlfParams(alpha=0.5), worked_problem.psi.shifted(t) ** 0.5
         )
-        base_vals = worked_problem.f(t, t, t, t)
-        forced_vals = forced.f(t, t, t, t)
-        assert np.allclose(forced_vals - base_vals, 1e-2 * envelope, rtol=1e-12)
+        assert np.array_equal(envelope, expected)
+        assert np.array_equal(forcing[1:], 1e-2 * _shape_profile(pert, t, 1.0) * expected)
+        assert forcing[0] == forcing[1]  # node 0 takes t_1's value
+
+    def test_f_called_once_per_sweep_of_both_solves(self, worked_problem):
+        calls = []
+
+        def counted(t, u1, u2, u3):
+            calls.append(np.shape(t))
+            return worked_problem.f(t, u1, u2, u3)
+
+        problem = replace(worked_problem, f=counted)
+        config = SolveConfig(grid_size=200)
+        pert = Perturbation(epsilon=1e-2, shape="sinusoid")
+        verify_uhml(problem, pert, config)
+        seen = len(calls)
+        base = solve(problem, config)
+        forced = solve(problem, config, grid=base.trajectory.grid,
+                       forcing=_realize(pert, problem, base.trajectory.grid)[0])
+        assert seen == base.iterations + forced.iterations
+        assert set(calls) == {(201,)}
+
+    def test_wrong_shaped_forcing_rejected(self, worked_problem):
+        config = SolveConfig(grid_size=100)
+        grid = make_grid(worked_problem.psi, 1.0, 100, 0.5)
+        for forcing in (np.zeros(100), np.zeros(102), np.zeros((101, 1))):
+            with pytest.raises(ValueError, match="forcing has shape"):
+                solve(worked_problem, config, grid=grid, forcing=forcing)
