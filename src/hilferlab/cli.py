@@ -71,9 +71,10 @@ def _g17_tables() -> tuple:
     For 10^e, e in [_E_MIN, 16 - _K_MIN]: hi (correctly rounded), hi's Veltkamp
     split, lo (the rounded rest) and the least double >= 10^e. The 4-digit ASCII
     blocks, and per block position the digits kept up to the block's last nonzero
-    digit. Per layout, the cell bytes that take digit j and digit j - 1, and per
-    sign and layout the literal bytes (sign, "0.000" prefix, point). The e+XX and
-    e+XXX suffixes per exponent.
+    digit, both by integer division of 0..9999 in uint16 and uint8. Per layout, the
+    cell bytes that take digit j and digit j - 1, and per sign and layout the
+    literal bytes (sign, "0.000" prefix, point). The e+XX and e+XXX suffixes per
+    exponent.
     """
     scales = []
     for e in range(_E_MIN, 17 - _K_MIN):
@@ -90,20 +91,14 @@ def _g17_tables() -> tuple:
     hi_hi = split - (split - hi)
     scale = (hi, hi_hi, hi - hi_hi, lo)
 
-    # float arithmetic and byte gathers, the kernel's own operations, build the digit tables
-    n = np.arange(10000.0)
-    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
-    counts = np.frombuffer(bytes(range(18)), np.uint8)
-    blocks = np.empty((10000, 4), dtype=np.uint8)
-    last = np.ones(10000)  # position of the last nonzero digit
-    for i, unit in enumerate((1000.0, 100.0, 10.0, 1.0)):
-        digit = np.floor(n / unit) - np.floor(n / (10.0 * unit)) * 10.0
-        blocks[:, i] = ascii_digits[digit.astype(np.intp)]
-        last[digit > 0] = i + 1.0
-    kept = np.empty((4, 10000), dtype=np.uint8)  # digits kept up to the last nonzero one
-    for i in range(4):
-        kept[i] = counts[(last + 4 * i + 1).astype(np.intp)]
-    kept[:, 0] = 1  # a zero block keeps no digit: the lead digit is always kept
+    # the 4-digit ASCII blocks and, per block position, the digits kept up to the block's
+    # last nonzero digit (a zero block keeps none: the lead digit is always kept)
+    units = np.array([1000, 100, 10, 1], np.uint16)
+    digits = np.arange(10000, dtype=np.uint16)[:, None] // units % 10
+    blocks = (digits + 48).astype(np.uint8)
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    kept = last + np.arange(1, 17, 4, dtype=np.uint8)[:, None]
+    kept[:, 0] = 1
 
     own, shifted, literal = bytearray(), bytearray(), (bytearray(), bytearray())
     for cls in range(22):
@@ -135,9 +130,10 @@ def _decimal(v: np.ndarray) -> tuple:
 
     k = floor(log10|v|) is corrected at powers of ten, and d = round(|v| * 10^(16-k))
     comes from Dekker's exact product of |v| and hi plus |v| * lo, to within about
-    1e-14. d is in [10^16, 10^17), or 0 for +-0; parts holds its lead digit and its
-    four 4-digit blocks, split exactly in floating point. Not certain: within 1e-9
-    of a rounding tie, non-finite, or |v| outside [1e-280, 1e281).
+    1e-14. p = |v| * hi rounded is an integer above 2^53, so d = p + (the rounded
+    rest) is exact as one int64. d is in [10^16, 10^17), or 0 for +-0; parts holds
+    its lead digit and its four 4-digit blocks, by integer division. Not certain:
+    within 1e-9 of a rounding tie, non-finite, or |v| outside [1e-280, 1e281).
     """
     scale, at_least = _g17_tables()[:2]
     a = np.abs(v)
@@ -159,26 +155,12 @@ def _decimal(v: np.ndarray) -> tuple:
     frac = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
     rest = np.floor(frac)
     frac -= rest  # p is an integer above 2^53, so frac decides the rounding
-    rest[frac > 0.5] += 1.0  # d - p
     certain &= np.abs(frac - 0.5) > 1e-9
-    top = np.floor(p / 1e8)  # d = top * 10^8 + low, every term an integer below 2^53
-    low = (p - top * 1e8) + rest
-    carry = np.floor(low / 1e8)
-    top += carry
-    low -= carry * 1e8
-    up = top >= 1e9  # d = 10^17
-    top[up] = 1e8
-    top[zero] = 0.0
-    low[zero] = 0.0
-    lead = np.floor(top / 1e8)
-    high = np.floor(top / 1e4)  # the lead digit and the first 4-digit block
-    mid = np.floor(low / 1e4)
-    parts = np.empty((5, v.size), dtype=np.intp)
-    parts[0] = lead
-    parts[1] = high - lead * 1e4
-    parts[2] = top - high * 1e4
-    parts[3] = mid
-    parts[4] = low - mid * 1e4
+    d = p.astype(np.int64) + rest.astype(np.int64) + (frac > 0.5)
+    up = d >= 10 ** 17
+    d[up] = 10 ** 16
+    d[zero] = 0
+    parts = d // np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None] % 10000
     k[up] += 1.0
     k[zero] = 0.0
     return parts, k, certain | zero
@@ -228,8 +210,9 @@ def _csv_rows(columns: list[np.ndarray]):
     """CSV rows of byte columns and float arrays (formatted by :func:`_g17`), in chunks.
 
     A byte column is a NUL-padded byte matrix with one row per CSV row, or one
-    row that every CSV row shares. Each chunk is one byte array, the rows' cells
-    and separators side by side, whose non-NUL bytes are the chunk's text.
+    row that every CSV row shares. Each chunk is one concatenate of the cell and
+    separator matrices, broadcast to the chunk's rows and laid side by side: a byte
+    matrix whose non-NUL bytes, row by row, are the chunk's text.
     """
     floats = [c for c in columns if c.dtype.kind == "f"]
     rows = max(len(c) for c in columns)
@@ -244,11 +227,7 @@ def _csv_rows(columns: list[np.ndarray]):
             c = next(cells) if c.dtype.kind == "f" else c if len(c) == 1 else c[lo:lo + r]
             parts += [c, _SEPARATORS[0]]
         parts[-1] = _SEPARATORS[1]
-        # each piece as one void item per row, so a row is assembled cell by cell
-        parts = [c.view(f"V{c.shape[1]}")[:, 0] for c in parts if c.shape[1]]
-        row = np.empty(r, dtype=[("", c.dtype) for c in parts])
-        for name, c in zip(row.dtype.names, parts):
-            row[name] = c
+        row = np.concatenate([np.broadcast_to(c, (r, c.shape[1])) for c in parts], axis=1)
         yield row.tobytes().translate(None, b"\0")
 
 
@@ -411,10 +390,7 @@ _VERIFY_SIGMAS = (0.875, 1.25, 1.625, 2.0)
 
 
 def _sup_rel_error(got: np.ndarray, ref: np.ndarray) -> float:
-    scale = float(np.max(np.abs(ref)))
-    if scale == 0.0:
-        return float(np.max(np.abs(got)))
-    return float(np.max(np.abs(got - ref)) / scale)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 def _power_hint(sigma: float):

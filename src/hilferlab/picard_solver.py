@@ -116,7 +116,7 @@ def _rhs(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """F_u at the 1-D array of times s >= 0, as a function of (node values of w, u(s)).
 
-    ``probe_at(times)`` is the probe stage of the evaluator (see
+    ``probe_at(times)`` is the probe stage of evaluating u (see
     :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
     is probed here, once. The Volterra term
     int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one trapezoidal rule per

@@ -127,7 +127,7 @@ class Grid:
 
     nodes: np.ndarray
     history_nodes: np.ndarray
-    x: Optional[np.ndarray] = None
+    x: np.ndarray
     psi_uniform: bool = field(init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -148,8 +148,6 @@ class Grid:
             raise GridError(f"history grid must end at t=0, got {hist[-1]!r}")
         if not np.all(np.diff(hist) > 0.0):
             raise GridError("history nodes must be strictly increasing")
-        if self.x is None:
-            raise GridError("grid needs its x = psi(t) - psi(0) coordinates")
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
         if x.shape != nodes.shape:
@@ -200,8 +198,7 @@ def make_grid(
         x = np.linspace(0.0, float(psi.shifted(b)), n + 1)
         t = np.asarray(psi.invert_shifted(x, bracket=(0.0, b)), dtype=float)
         t[0], t[-1] = 0.0, b  # pin endpoints against inversion roundoff
-    hist = np.linspace(-r, 0.0, history_size + 1)
-    hist[-1] = 0.0
+    hist = np.linspace(-r, 0.0, history_size + 1)  # its last node is exactly 0
     return Grid(nodes=t, history_nodes=hist, x=x)
 
 
@@ -250,11 +247,6 @@ class Trajectory:
         """The weighted values at every node: ``[initial_weight, w_1..w_N]``."""
         return np.concatenate(([self.initial_weight], self.weighted_values))
 
-    def evaluator(self, psi: PsiFunction) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized u(t) for arrays of times in [-r, b]: both stages of :func:`probe`."""
-        w_nodes = self.node_values()
-        return lambda times: probe(self.grid, psi, self.gamma, self.history_values, times)(w_nodes)
-
 
 def probe(
     grid: Grid, psi: PsiFunction, gamma: float, history_values: np.ndarray, times
@@ -290,7 +282,8 @@ def probe(
 
 def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
     """Evaluate u(t) anywhere on [-r, b] (see :func:`probe`)."""
-    out = traj.evaluator(psi)(np.atleast_1d(np.asarray(t, dtype=float)))
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    out = probe(traj.grid, psi, traj.gamma, traj.history_values, times)(traj.node_values())
     return out if np.ndim(t) else out[0]
 
 

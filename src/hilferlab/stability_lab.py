@@ -38,8 +38,9 @@ PERTURBATION_SHAPES = ("constant", "sinusoid", "square_wave", "smooth_random")
 class Perturbation:
     """An admissible perturbation eps * shape(t) * envelope(t).
 
-    The shape is a named profile with |shape| <= 1 on (0, b], so the
-    realized forcing obeys the admissibility envelope by construction.
+    The shape is a named profile with |shape| <= 1 on [0, b], taking its
+    right limit at t = 0, so the realized forcing obeys the admissibility
+    envelope by construction.
     ``frequency`` drives the oscillatory shapes; ``seed`` and ``modes``
     parameterize the random smooth profile.
     """
@@ -68,8 +69,9 @@ def _shape_profile(pert: Perturbation, t: np.ndarray, b: float) -> np.ndarray:
         return np.ones_like(t)
     if pert.shape == "sinusoid":
         return np.sin(pert.frequency * t)
-    if pert.shape == "square_wave":
-        return np.sign(np.sin(pert.frequency * t))
+    if pert.shape == "square_wave":  # at a zero of the sine, its right limit
+        s = np.sin(pert.frequency * t)
+        return np.where(s == 0.0, np.sign(pert.frequency), np.sign(s))
     rng = np.random.default_rng(pert.seed)
     amplitudes = rng.standard_normal(pert.modes) / np.arange(1, pert.modes + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, pert.modes)
@@ -83,16 +85,16 @@ def _shape_profile(pert: Perturbation, t: np.ndarray, b: float) -> np.ndarray:
 
 
 def ml_envelope(alpha: float, psi, t) -> np.ndarray:
-    """E_alpha((psi(t)-psi(0))^alpha), the admissibility envelope on (0, b]."""
+    """E_alpha((psi(t)-psi(0))^alpha), the admissibility envelope on [0, b]."""
     x = np.asarray(psi.shifted(t), dtype=float)
     return mittag_leffler_values(MlfParams(alpha=alpha, beta=1.0), x ** alpha)
 
 
-def _interior_envelope(alpha: float, psi, grid: Grid) -> np.ndarray:
-    """:func:`ml_envelope` at the interior nodes, built once per grid, alpha and psi."""
+def _node_envelope(alpha: float, psi, grid: Grid) -> np.ndarray:
+    """:func:`ml_envelope` at every node (1 at t = 0), built once per grid, alpha and psi."""
 
     def build() -> np.ndarray:
-        envelope = ml_envelope(alpha, psi, grid.nodes[1:])
+        envelope = ml_envelope(alpha, psi, grid.nodes)
         if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
             raise AssertionError("Mittag-Leffler envelope must be nondecreasing in t")
         envelope.flags.writeable = False  # shared by every perturbation on the grid
@@ -102,13 +104,16 @@ def _interior_envelope(alpha: float, psi, grid: Grid) -> np.ndarray:
 
 
 def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(eps * shape * envelope at every node, envelope at t_1..t_N); node 0 takes t_1's value."""
-    envelope = _interior_envelope(problem.order.alpha, problem.psi, grid)
-    shape = _shape_profile(pert, grid.nodes[1:], problem.b)
-    values = pert.epsilon * shape * envelope
+    """(eps * shape * envelope, envelope), both at every node.
+
+    Node 0 carries the perturbation's right limit at t = 0: eps * shape(0+),
+    the envelope being E_alpha(0) = 1 there.
+    """
+    envelope = _node_envelope(problem.order.alpha, problem.psi, grid)
+    values = pert.epsilon * _shape_profile(pert, grid.nodes, problem.b) * envelope
     if np.any(np.abs(values) > pert.epsilon * envelope * (1.0 + 1e-12)):
         raise AssertionError("realized perturbation violates its admissibility envelope")
-    return np.concatenate((values[:1], values)), envelope
+    return values, envelope
 
 
 def uhml_constant(problem: DelayFFIDE) -> float:
@@ -187,7 +192,8 @@ def verify_uhml(
     maximum ratio does not exceed the theoretical constant.
 
     The forced solve is of ``problem`` itself on the base solution's grid,
-    the only grid of the comparison. Without ``base`` the base problem is
+    the only grid of the comparison; its forcing at node 0 is the
+    perturbation's right limit at t = 0. Without ``base`` the base problem is
     solved first, on the grid the config describes; for another grid,
     pass ``base=solve(problem, config, grid=grid)``.
     """
@@ -201,7 +207,7 @@ def verify_uhml(
     v = perturbed.trajectory
 
     deviation = u.unweight(np.abs(v.weighted_values - u.weighted_values))
-    ratio_interior = deviation / (pert.epsilon * envelope)
+    ratio_interior = deviation / (pert.epsilon * envelope[1:])
 
     hist_deviation = np.abs(v.history_values - u.history_values)
     ratio_history = hist_deviation / pert.epsilon

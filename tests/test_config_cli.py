@@ -374,6 +374,29 @@ class TestCmdCheck:
         assert main(["check", "--config", path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("format = {fmt}", "format = xml", "format must be csv or json"),
+        ("grid_size = 200", "grid_size = 1", "grid_size must be >= 2"),
+        ("max_iter = 60", "max_iter = 60\nhistory_size = 0", "history_size must be >= 1"),
+        ("shapes = constant, sinusoid, square_wave", "shapes =", "non-empty 'shapes'"),
+        ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2, abc", "epsilons: bad number 'abc'"),
+        ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2\nmodes = 0", "modes must be >= 1"),
+        (WORKED_CONFIG.split("[solve]")[0], "", "missing required section [problem]"),
+        ("psi = identity", "psi = shifted_power\npsi_rho = -1", "requires rho > 0"),
+        ("g_lag = 0.5", "g_lag = -0.1", "requires lag >= 0"),
+        ("r = 0.5", "r = 0", "delay depth r must be positive"),
+        ("phi = cosine\nphi_amplitude = 1.0\nphi_frequency = 1.0",
+         "phi = linear\nphi_intercept = inf", "phi must be finite"),
+    ], ids=["format", "grid_size", "history_size", "no_shapes", "bad_epsilon", "modes",
+            "no_problem", "psi_rho", "g_lag", "r", "phi_intercept"])
+    def test_invalid_input_exits_one(self, tmp_path, capsys, old, new, message):
+        assert old in WORKED_CONFIG
+        bad = WORKED_CONFIG.replace(old, new)
+        path = write_config(tmp_path, bad, out=str(tmp_path / "o"), fmt="csv", seed=0)
+        assert main(["check", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
 
 class TestCmdSolve:
     def test_zero_rhs_constant_weighted_column(self, tmp_path, capsys):
@@ -478,7 +501,7 @@ class TestCmdStability:
         assert capsys.readouterr().out.count("note: psi(b)-psi(0) < 1") == 1
 
     def test_envelope_built_once_per_run(self, tmp_path, monkeypatch):
-        # four perturbations share one grid, so one N-point Mittag-Leffler evaluation
+        # four perturbations share one grid, so one (N+1)-point Mittag-Leffler evaluation
         sizes = []
         series = stability_lab.mittag_leffler_values
 
@@ -491,7 +514,7 @@ class TestCmdStability:
         path = write_config(tmp_path, config, out=str(tmp_path / "out"), fmt="csv", seed=0)
         assert main(["stability", "--config", path, "--grid", "150"]) == 0
         assert len(os.listdir(tmp_path / "out")) == 1 + 4
-        assert sizes.count(150) == 1
+        assert sizes.count(151) == 1
 
     def test_problem_checks_once_per_run(self, tmp_path, monkeypatch):
         # the four forced solves are of the base problem on the base grid, so they

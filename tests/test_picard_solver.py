@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestBatchedVolterra:
         assert np.all(np.isfinite(samples))
 
         t_int = grid.nodes[1:]
-        u_of = traj.evaluator(problem.psi)
+        u_of = partial(trajectory_values, traj, problem.psi)
         inner = np.array(
             [_inner_integral_per_node(problem.h_kernel, float(s), u_of, problem.g, 64)
              for s in t_int]

@@ -12,12 +12,15 @@ from hilferlab import (
     Grid,
     GridError,
     PsiFunction,
+    SolveConfig,
     Trajectory,
     bielecki_norm,
     catalog,
+    eval_F,
     frac_integral_grid,
     hilfer_derivative_grid,
     make_grid,
+    picard_step,
     power_rule_reference,
     psi_calculus,
     trajectory_values,
@@ -569,3 +572,52 @@ class TestTrajectoryEvaluation:
                 history_values=np.zeros(3),
                 gamma=1.0,
             )
+
+
+def _trajectory(psi, **changes):
+    """A zero trajectory on a 3-interval identity grid, with some fields replaced."""
+    grid = make_grid(psi, 1.0, 3, 0.5, history_size=4)
+    fields = dict(grid=grid, weighted_values=np.zeros(3), initial_weight=0.0,
+                  history_values=np.zeros(5), gamma=1.0)
+    return Trajectory(**{**fields, **changes})
+
+
+_CUBIC_PSI = PsiFunction(fn=lambda t: np.asarray(t, dtype=float) ** 3,
+                         deriv=lambda t: 3.0 * np.asarray(t, dtype=float) ** 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda psi, problem: _CUBIC_PSI.deriv_bounds(0.0, 1.0),
+                 "must be finite and positive", id="psi-deriv-zero"),
+    pytest.param(lambda psi, problem: Grid(nodes=np.array([0.0, 0.5, 1.0]),
+                                           history_nodes=np.array([-1.0, -0.25, -0.5, 0.0]),
+                                           x=np.array([0.0, 0.5, 1.0])),
+                 "history nodes must be strictly increasing", id="history-decreasing"),
+    pytest.param(lambda psi, problem: make_grid(psi, 1.0, 10, 0.5, uniform_in="x"),
+                 "uniform_in must be 'psi' or 't'", id="uniform-in-x"),
+    pytest.param(lambda psi, problem: _trajectory(psi, weighted_values=np.zeros(2)),
+                 "one entry per interior node", id="trajectory-short"),
+    pytest.param(lambda psi, problem: _trajectory(psi, history_values=np.zeros(4)),
+                 "history_values must match history_nodes", id="trajectory-history-short"),
+    pytest.param(lambda psi, problem: _trajectory(psi, gamma=0.0),
+                 "gamma must lie in", id="trajectory-gamma"),
+    pytest.param(lambda psi, problem: _trajectory(psi, initial_weight=np.inf),
+                 "initial_weight must be finite", id="trajectory-initial-weight"),
+    pytest.param(lambda psi, problem: _trajectory(psi, weighted_values=np.full(3, np.nan)),
+                 "weighted_values must be finite", id="trajectory-weighted-nan"),
+    pytest.param(lambda psi, problem: _trajectory(psi, history_values=np.full(5, np.inf)),
+                 "history_values must be finite", id="trajectory-history-inf"),
+    pytest.param(lambda psi, problem: frac_integral_grid(
+                     0.5, psi, np.zeros(4), _trajectory(psi).grid, origin_exponent=2.5),
+                 r"origin_exponent must lie in \(0, 2\)", id="origin-exponent"),
+    pytest.param(lambda psi, problem: bielecki_norm(0.5, 0.0, psi, _trajectory(psi)),
+                 "trajectory carries gamma=1.0", id="bielecki-gamma"),
+    pytest.param(lambda psi, problem: eval_F(problem, _trajectory(psi), 1.5, 32),
+                 "beyond the trajectory horizon", id="eval-F-horizon"),
+    pytest.param(lambda psi, problem: picard_step(problem, _trajectory(psi, gamma=0.5),
+                                                  SolveConfig()),
+                 "does not match problem gamma", id="picard-step-gamma"),
+])
+def test_invalid_input_rejected(identity_psi, worked_problem, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(identity_psi, worked_problem)

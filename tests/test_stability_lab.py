@@ -265,29 +265,31 @@ class TestPachpatte:
     def test_validation(self):
         t = np.linspace(0.0, 1.0, 50)
         ones = np.ones_like(t)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p and q must be nonnegative"):
             pachpatte_envelope(t, ones, -ones, ones)
-        with pytest.raises(ValueError):
-            pachpatte_envelope(t, 1.0 - t, ones, ones)  # decreasing eta
-        with pytest.raises(ValueError):
-            pachpatte_envelope(t, 0.0 * t, ones, ones)  # not positive
-        with pytest.raises(ValueError):
-            pachpatte_envelope(t, ones, ones[:-1], ones)  # shape mismatch
+        with pytest.raises(ValueError, match="eta must be nondecreasing"):
+            pachpatte_envelope(t, 2.0 - t, ones, ones)  # decreasing eta
+        with pytest.raises(ValueError, match="eta must be positive"):
+            pachpatte_envelope(t, 0.0 * t, ones, ones)
+        with pytest.raises(ValueError, match="must share one shape"):
+            pachpatte_envelope(t, ones, ones[:-1], ones)
 
 
 class TestForcing:
-    @pytest.mark.parametrize("shape", ["constant", "sinusoid"])
+    @pytest.mark.parametrize("shape", ["constant", "sinusoid", "square_wave"])
     def test_forcing_is_eps_shape_envelope(self, worked_problem, shape):
         grid = make_grid(worked_problem.psi, 1.0, 50, 0.5)
         pert = Perturbation(epsilon=1e-2, shape=shape)
         forcing, envelope = _realize(pert, worked_problem, grid)
-        t = grid.nodes[1:]
+        t = grid.nodes
         expected = mittag_leffler_values(
             MlfParams(alpha=0.5), worked_problem.psi.shifted(t) ** 0.5
         )
         assert np.array_equal(envelope, expected)
-        assert np.array_equal(forcing[1:], 1e-2 * _shape_profile(pert, t, 1.0) * expected)
-        assert forcing[0] == forcing[1]  # node 0 takes t_1's value
+        assert np.array_equal(forcing, 1e-2 * _shape_profile(pert, t, 1.0) * expected)
+        # node 0 carries the right limit eps * shape(0+), where the envelope is 1
+        assert envelope[0] == 1.0
+        assert forcing[0] == (0.0 if shape == "sinusoid" else 1e-2)
 
     def test_f_called_once_per_sweep_of_both_solves(self, worked_problem):
         calls = []
