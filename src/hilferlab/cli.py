@@ -244,7 +244,8 @@ def _csv_column(cell) -> np.ndarray:
 
 
 def _write(out_dir: str, stem: str, header: list[str], blocks: list[list], fmt: str) -> None:
-    """Write rows to <stem>.<fmt> (JSON as ``json.dump(rows, indent=2)`` lays them out).
+    """Write rows to <stem>.<fmt> in the existing ``out_dir`` (JSON as ``json.dump(rows,
+    indent=2)`` lays them out); each command creates its directory once.
 
     A block of rows has one cell per column: a float array, ready-made cells (in
     CSV the byte matrix :func:`_g17` returns, in JSON a list of :func:`_tokens`
@@ -253,7 +254,6 @@ def _write(out_dir: str, stem: str, header: list[str], blocks: list[list], fmt: 
     ``%.17g`` bytes), and :func:`_csv_rows` writes each chunk of rows as one byte
     matrix. In JSON a block is one ``%`` fill of a row template.
     """
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.{fmt}")
     if fmt == "csv":
         with open(path, "wb") as fh:
@@ -321,6 +321,7 @@ def cmd_check(args) -> int:
         report.theta, report.theta_ok, report.bielecki_lhs, report.bielecki_ok,
         report.zeta, report.zeta_inf, report.delta_used, lip_f, lip_h, certified,
     ]
+    os.makedirs(cfg.out_dir, exist_ok=True)
     _write(cfg.out_dir, "hypotheses", header, [row], cfg.out_format)
     return _EXIT_OK if certified else _EXIT_UNCERTIFIED
 
@@ -339,6 +340,7 @@ def cmd_solve(args) -> int:
         [t[h:], psi_t[h:], traj.weighted_values, traj.unweight(traj.weighted_values), its],
     ]
     header = ["t", "psi_t", "weighted_u", "u", "residual_iter_count"]
+    os.makedirs(cfg.out_dir, exist_ok=True)
     _write(cfg.out_dir, "solution", header, blocks, cfg.out_format)
 
     final = result.residual_history[-1] if result.residual_history else float("nan")
@@ -365,8 +367,9 @@ def cmd_stability(args) -> int:
     rows: list[list] = []
     all_converged = base.converged
     caveat_shown = False
-    for pert in cfg.perturbations:
-        report = verify_uhml(cfg.problem, pert, cfg.solve, base=base)
+    reports = verify_uhml(cfg.problem, cfg.perturbations, cfg.solve, base=base)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for pert, report in zip(cfg.perturbations, reports):
         all_converged = all_converged and report.converged
         if report.envelope_caveat and not caveat_shown:
             print("note: psi(b)-psi(0) < 1, where the mean-value bounds behind "
@@ -481,6 +484,7 @@ def cmd_verify_operators(args) -> int:
                 order_text = f"{order:7.2f}" if order is not None else "     --"
                 print(f"{identity:<18} {psi.label or name:<22} {n:>6} {err:>14.3e} {order_text}")
             previous = errs
+    os.makedirs(out_dir, exist_ok=True)
     _write(out_dir, "operator_checks", header, rows, fmt)
     return _EXIT_OK
 

@@ -31,9 +31,14 @@ Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
 that regime but flags the result as uncertified.
 
-A solve is sequential in the iteration index and touches no global
-state, so distinct solves may run concurrently; results are
-deterministic for fixed inputs.
+Solves that differ only in their forcing (the perturbed solves of a
+stability run) iterate as one (P, N+1) stack of node values
+(:func:`solve_stacked`): each sweep calls f once on the stack and
+integrates the stack in one call, and each row stops at its own
+tolerance, so its result is bit for bit that of its solve alone.
+:func:`solve` is the one-row case of the same loop. A solve touches no
+global state besides the grid memo; results are deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .problem_model import DelayFFIDE, check_bielecki, check_theta, validate_problem
+from .problem_model import check_bielecki  # noqa: F401  (unused; bench/spans.py wraps this name)
+from .problem_model import DelayFFIDE, check_theta, validate_problem
 from .psi_calculus import (
     Grid,
     Trajectory,
@@ -102,7 +108,6 @@ class SolveResult:
     converged: bool
     iterations: int
     theta: float
-    bielecki_lhs: float
     certified_by: Optional[str] = None
     warning: Optional[str] = None
 
@@ -115,6 +120,10 @@ def _rhs(
     problem: DelayFFIDE, probe_at: Callable, s: np.ndarray, subdivisions: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """F_u at the 1-D array of times s >= 0, as a function of (node values of w, u(s)).
+
+    The node values may be one row (N+1,) or a (P, N+1) stack, with u(s)
+    stacked alike; f is called once on the whole stack, and the result
+    has one row of F per row of the stack.
 
     ``probe_at(times)`` is the probe stage of evaluating u (see
     :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
@@ -137,15 +146,20 @@ def _rhs(
         current, lagged = probe_at(times), probe_at(np.asarray(g(times), dtype=float))
         rows = s[:, None]
 
+    def volterra(w_nodes: np.ndarray) -> np.ndarray:
+        vals = h(rows, times, current(w_nodes), lagged(w_nodes))
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
+        return vals[:, 0] * times[:, 1] + np.trapezoid(vals[:, 1:], times[:, 1:], axis=1)
+
     def rhs(w_nodes: np.ndarray, u_s: np.ndarray) -> np.ndarray:
         if h is None:
             inner = np.zeros_like(s)
-        else:
-            vals = h(rows, times, current(w_nodes), lagged(w_nodes))
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
-            inner = vals[:, 0] * times[:, 1] + np.trapezoid(vals[:, 1:], times[:, 1:], axis=1)
+        elif w_nodes.ndim == 1:
+            inner = volterra(w_nodes)
+        else:  # per row: a stacked batch would multiply the (len(s), M+1) probes by P
+            inner = np.array([volterra(w) for w in w_nodes])
         f_vals = np.asarray(f(s, u_s, delayed(w_nodes), inner), dtype=float)
-        return np.broadcast_to(f_vals, s.shape)
+        return np.broadcast_to(f_vals, w_nodes.shape[:-1] + s.shape)
 
     return rhs
 
@@ -182,7 +196,7 @@ class _Workspace:
         self.rhs = _rhs(problem, probe_at, grid.nodes, subdivisions)
 
     def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
-        """One application of the fixed-point map to node values; ``forcing`` is added to F."""
+        """The fixed-point map on node values, one row or a (P, N+1) stack; F gets ``forcing``."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,17 +250,14 @@ def _geometric_ratio(residuals: list[float]) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def certify_contraction(problem: DelayFFIDE) -> tuple[float, float, Optional[str]]:
-    """Evaluate Theta and the Bielecki left side at delta = 0.
+def certify_contraction(problem: DelayFFIDE) -> tuple[float, Optional[str]]:
+    """Evaluate Theta; returns (theta, "theta" or None).
 
-    Returns (theta, bielecki value, "theta" or None). The Bielecki left
-    side grows with delta and equals Theta at delta = 0, so no damping
-    certifies a problem that Theta leaves uncertified; the value is
-    reported as a diagnostic.
+    The Bielecki left side grows with delta and equals Theta at delta = 0,
+    so no damping certifies a problem that Theta leaves uncertified.
     """
     theta = check_theta(problem)
-    bielecki = check_bielecki(problem, 0.0)
-    return theta, bielecki, ("theta" if theta < 1.0 else None)
+    return theta, ("theta" if theta < 1.0 else None)
 
 
 def grid_for(problem: DelayFFIDE, config: SolveConfig) -> Grid:
@@ -276,18 +287,48 @@ def solve(
     Stops when the chosen norm of successive weighted differences falls
     to ``config.tol`` or ``config.max_iter`` sweeps have run. Failure to
     converge is reported in the result; non-finite iterates raise
-    :class:`DivergenceError`.
+    :class:`DivergenceError`. This is the one-row case of
+    :func:`solve_stacked`.
     """
-    def checked() -> tuple[float, float, Optional[str]]:
+    rows = None if forcing is None else np.asarray(forcing, dtype=float)[None]
+    return _solve_rows(problem, config, grid, rows)[0]
+
+
+def solve_stacked(
+    problem: DelayFFIDE,
+    config: SolveConfig,
+    forcing: np.ndarray,
+    *,
+    grid: Optional[Grid] = None,
+) -> list[SolveResult]:
+    """Solve D u = F(u) + z for every row z of ``forcing`` (shape (P, N+1)) on one grid.
+
+    The rows share every sweep: one call of f on the (P, N+1) stack, one
+    fractional integral of the stack, one finiteness check. A row leaves
+    the stack at the sweep where its own residual reaches ``config.tol``,
+    so each result is bit for bit that of ``solve(..., forcing=row)``.
+    A non-finite iterate in any row raises :class:`DivergenceError`.
+    """
+    return _solve_rows(problem, config, grid, np.asarray(forcing, dtype=float))
+
+
+def _solve_rows(
+    problem: DelayFFIDE,
+    config: SolveConfig,
+    grid: Optional[Grid],
+    forcing: Optional[np.ndarray],
+) -> list[SolveResult]:
+    """The one sweep loop: each row of a (P, N+1) ``forcing``, or one unforced row, to its stop."""
+    def checked() -> tuple[float, Optional[str]]:
         validate_problem(problem)
         return certify_contraction(problem)
     # the forced solves of a stability run share the base solve's grid, so they reuse its checks
     checks = checked() if grid is None else None  # before make_grid, which a bad psi breaks
     grid = grid_for(problem, config) if grid is None else grid
-    if forcing is not None and np.shape(forcing) != grid.nodes.shape:
-        raise ValueError(f"forcing has shape {np.shape(forcing)}, the nodes {grid.nodes.shape}")
-    theta, bielecki_value, certificate = grid.memo(
-        ("checked", problem), lambda: checks or checked())
+    if forcing is not None and forcing.shape[1:] != grid.nodes.shape:
+        raise ValueError(
+            f"forcing has shape {forcing.shape[1:]} per row, the nodes {grid.nodes.shape}")
+    theta, certificate = grid.memo(("checked", problem), lambda: checks or checked())
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
     warning = None
     if certificate is None:
@@ -299,36 +340,48 @@ def solve(
     damping = None
     if config.norm_kind == "bielecki":
         damping = np.exp(-config.bielecki_delta * grid.x[1:])
-    w = np.full(grid.nodes.size, ws.w_init)
-    residuals: list[float] = []
-    converged = False
+    n_rows = 1 if forcing is None else forcing.shape[0]
+    w = np.full((n_rows, grid.nodes.size), ws.w_init)
+    final = np.empty_like(w)
+    active = np.arange(n_rows)  # the rows still iterating, in the order of w
+    residuals: list[list[float]] = [[] for _ in range(n_rows)]
     for _ in range(config.max_iter):
+        if not active.size:
+            break
         w_next = ws.sweep(w, forcing)
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError("fixed-point iterate left float64 range")
-        change = np.abs(w_next[1:] - w[1:])
-        res = float(np.max(change if damping is None else damping * change))
-        residuals.append(res)
+        change = np.abs(w_next[:, 1:] - w[:, 1:])
+        res = np.max(change if damping is None else damping * change, axis=1)
+        for row, value in zip(active.tolist(), res.tolist()):
+            residuals[row].append(value)
         w = w_next
-        if res <= config.tol:
-            converged = True
-            break
+        done = res <= config.tol
+        if done.any():
+            final[active[done]] = w[done]
+            active, w = active[~done], w[~done]
+            forcing = None if forcing is None else forcing[~done]
+    final[active] = w
+    converged = np.ones(n_rows, dtype=bool)
+    converged[active] = False
 
-    traj = Trajectory(
-        grid=grid,
-        weighted_values=w[1:],
-        initial_weight=ws.w_init,
-        history_values=ws.history,
-        gamma=problem.order.gamma,
-    )
-    return SolveResult(
-        trajectory=traj,
-        residual_history=residuals,
-        observed_ratio=_geometric_ratio(residuals),
-        converged=converged,
-        iterations=len(residuals),
-        theta=theta,
-        bielecki_lhs=bielecki_value,
-        certified_by=certificate,
-        warning=warning,
-    )
+    results = []
+    for values, history, ok in zip(final, residuals, converged.tolist()):
+        traj = Trajectory(
+            grid=grid,
+            weighted_values=values[1:],
+            initial_weight=ws.w_init,
+            history_values=ws.history,
+            gamma=problem.order.gamma,
+        )
+        results.append(SolveResult(
+            trajectory=traj,
+            residual_history=history,
+            observed_ratio=_geometric_ratio(history),
+            converged=ok,
+            iterations=len(history),
+            theta=theta,
+            certified_by=certificate,
+            warning=warning,
+        ))
+    return results

@@ -258,6 +258,8 @@ def probe(
     returned function takes the node values ``[w0, w_1..w_N]`` of the
     weighted solution, interpolates them linearly in x and unweights by
     ``x^(gamma-1)`` (for gamma < 1 this correctly blows up as t -> 0+).
+    Given a (P, N+1) stack of node values, it returns one row of u per
+    row of the stack.
     Times below the history window raise :class:`DelayRangeError`.
     """
     times = np.asarray(times, dtype=float)
@@ -272,9 +274,10 @@ def probe(
     x_nodes, shape = grid.x, times.shape
 
     def apply(w_nodes: np.ndarray) -> np.ndarray:
-        out = np.empty(shape)
-        out[past] = known
-        out[future] = np.interp(xq, x_nodes, w_nodes) * scale
+        out = np.empty(np.shape(w_nodes)[:-1] + shape)
+        for row, w in zip(out.reshape(-1, *shape), np.reshape(w_nodes, (-1, x_nodes.size))):
+            row[past] = known
+            row[future] = np.interp(xq, x_nodes, w) * scale
         return out
 
     return apply
@@ -322,11 +325,22 @@ def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, n
 def _product_trapezoid_uniform(
     spectra: tuple[int, np.ndarray, np.ndarray], w: np.ndarray
 ) -> np.ndarray:
-    """Uniform-grid quadrature: one rfft/irfft pair per row of w against the kernel spectra."""
+    """Uniform-grid quadrature: one rfft/irfft pair on w, (N+1,) or a (P, N+1) stack.
+
+    The transforms take the whole stack at once. The spectral combine runs
+    row by row: on a stack its complex temporaries outgrow the cache and
+    take longer than the rows one at a time.
+    """
     size, left, right = spectra
-    ws = rfft(w, size)
-    # the second sum skips w_0, and the spectrum of w_0 at index 0 is w_0 everywhere
-    return irfft(ws * left + (ws - w[..., :1]) * right, size)[..., : w.shape[-1]]
+    spectrum = rfft(w, size)
+    # ws * left + (ws - w0) * right in place: the second sum skips w_0, and the
+    # spectrum of w_0 at index 0 is w_0 everywhere
+    for ws, w0 in zip(np.atleast_2d(spectrum), np.atleast_2d(w)[:, :1]):
+        skip = ws - w0
+        skip *= right
+        ws *= left
+        ws += skip
+    return irfft(spectrum, size)[..., : w.shape[-1]]
 
 
 def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -415,6 +429,8 @@ def frac_integral_grid(
 
     Returns the product-integration approximation of I^{alpha;psi} of the
     sampled function at all grid nodes; the value at t=0 is exactly 0.
+    ``samples`` is one row (N+1,) or a (P, N+1) stack of rows, each
+    integrated as if alone, bit for bit.
     The scheme is exact whenever the integrand is piecewise linear in
     x = psi(t) - psi(0), which is read from ``grid.x``; ``psi`` must be
     the transform the grid was built with (checked exactly at the last
@@ -435,7 +451,7 @@ def frac_integral_grid(
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"frac_integral_grid requires alpha in (0, 1], got {alpha!r}")
     w = np.asarray(samples, dtype=float)
-    if w.shape != grid.nodes.shape:
+    if w.ndim > 2 or w.shape[-1:] != grid.nodes.shape:
         raise GridError(
             f"samples shape {w.shape} does not match grid shape {grid.nodes.shape}"
         )
@@ -452,10 +468,14 @@ def frac_integral_grid(
     if start is None:
         out = _product_trapezoid(alpha, x, spectra, w)
     else:
-        out = _product_trapezoid(alpha, x, spectra, np.concatenate(([0.0], w[1:])))
-        out[1:] += start @ w[1 : start.shape[1] + 1]
+        data = w.copy()
+        data[..., 0] = 0.0
+        out = _product_trapezoid(alpha, x, spectra, data)
+        # row by row: a stacked product rounds differently from start @ w in the last bits
+        for row, values in zip(np.atleast_2d(out), np.atleast_2d(w)):
+            row[1:] += start @ values[1 : start.shape[1] + 1]
 
-    out[0] = 0.0
+    out[..., 0] = 0.0
     return out / _gamma(alpha)
 
 

@@ -14,18 +14,22 @@ solver adds z to F's samples before the fractional integral, so no
 numerical differentiation is involved), and compares the two
 trajectories node by node against the constant.
 
-Independent (problem, perturbation) experiments may run fully in
-parallel; each experiment is deterministic given its seed.
+The perturbations of one run share the base grid and differ only in
+their forcing, so their solves run as one stacked Picard iteration: a
+(P, N+1) stack of node values, one call of f per sweep, and each row
+stopping at its own tolerance (see :mod:`hilferlab.picard_solver`).
+Each report is bit for bit the one its perturbation gets alone, and each
+experiment is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .picard_solver import SolveConfig, SolveResult, grid_for, solve
+from .picard_solver import SolveConfig, SolveResult, grid_for, solve, solve_stacked
 from .problem_model import DelayFFIDE, estimate_zeta
 from .psi_calculus import Grid, Trajectory
 from .psi_calculus import make_grid  # noqa: F401  (unused; bench/spans.py wraps this name)
@@ -178,12 +182,18 @@ class StabilityReport:
 
 def verify_uhml(
     problem: DelayFFIDE,
-    pert: Perturbation,
+    perts: Union[Perturbation, Sequence[Perturbation]],
     config: SolveConfig,
     *,
     base: Optional[SolveResult] = None,
-) -> StabilityReport:
-    """Solve the base and the forced problem on one grid and compare deviations.
+) -> Union[StabilityReport, list[StabilityReport]]:
+    """Solve the base and the forced problems on one grid and compare deviations.
+
+    ``perts`` is one :class:`Perturbation`, which gives one report, or a
+    sequence of them, which gives their reports in order. The forced
+    solves of a sequence run as one stacked iteration
+    (:func:`hilferlab.picard_solver.solve_stacked`); each report is the
+    one its perturbation gets alone, bit for bit.
 
     The per-node ratio is |v - u| / (eps * envelope); on the history
     window both solutions carry the identical prescribed values, so the
@@ -191,46 +201,48 @@ def verify_uhml(
     those nodes, the numerator being identically zero). Passing means the
     maximum ratio does not exceed the theoretical constant.
 
-    The forced solve is of ``problem`` itself on the base solution's grid,
-    the only grid of the comparison; its forcing at node 0 is the
+    The forced solves are of ``problem`` itself on the base solution's grid,
+    the only grid of the comparison; a forcing at node 0 is the
     perturbation's right limit at t = 0. Without ``base`` the base problem is
     solved first, on the grid the config describes; for another grid,
     pass ``base=solve(problem, config, grid=grid)``.
     """
+    single = isinstance(perts, Perturbation)
+    perts = [perts] if single else list(perts)
+    if not perts:
+        return []
     if base is None:
         base = solve(problem, config)
     u = base.trajectory
     grid = u.grid
-
-    forcing, envelope = _realize(pert, problem, grid)
-    perturbed = solve(problem, config, grid=grid, forcing=forcing)
-    v = perturbed.trajectory
-
-    deviation = u.unweight(np.abs(v.weighted_values - u.weighted_values))
-    ratio_interior = deviation / (pert.epsilon * envelope[1:])
-
-    hist_deviation = np.abs(v.history_values - u.history_values)
-    ratio_history = hist_deviation / pert.epsilon
-
-    times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
-    profile = np.concatenate((ratio_history, ratio_interior))
-    c_emp = float(np.max(profile))
-
+    forcing = np.array([_realize(pert, problem, grid)[0] for pert in perts])
+    envelope = _node_envelope(problem.order.alpha, problem.psi, grid)
+    perturbed_results = solve_stacked(problem, config, forcing, grid=grid)
     c_theory, kappa, a_const, x_b = grid.memo(  # every perturbation shares it
         ("uhml_terms", problem), lambda: _uhml_terms(problem))
-    return StabilityReport(
-        shape=pert.shape,
-        epsilon=pert.epsilon,
-        c_theoretical=c_theory,
-        c_empirical=c_emp,
-        passed=bool(c_emp <= c_theory),
-        kappa_used=kappa,
-        a_used=a_const,
-        profile_times=times,
-        ratio_profile=profile,
-        envelope_caveat=bool(x_b < 1.0),
-        converged=bool(base.converged and perturbed.converged),
-    )
+
+    reports = []
+    for pert, perturbed in zip(perts, perturbed_results):
+        v = perturbed.trajectory
+        deviation = u.unweight(np.abs(v.weighted_values - u.weighted_values))
+        ratio_interior = deviation / (pert.epsilon * envelope[1:])
+        ratio_history = np.abs(v.history_values - u.history_values) / pert.epsilon
+        profile = np.concatenate((ratio_history, ratio_interior))
+        c_emp = float(np.max(profile))
+        reports.append(StabilityReport(
+            shape=pert.shape,
+            epsilon=pert.epsilon,
+            c_theoretical=c_theory,
+            c_empirical=c_emp,
+            passed=bool(c_emp <= c_theory),
+            kappa_used=kappa,
+            a_used=a_const,
+            profile_times=np.concatenate((grid.history_nodes, grid.nodes[1:])),
+            ratio_profile=profile,
+            envelope_caveat=bool(x_b < 1.0),
+            converged=bool(base.converged and perturbed.converged),
+        ))
+    return reports[0] if single else reports
 
 
 def pachpatte_envelope(

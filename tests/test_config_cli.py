@@ -455,6 +455,19 @@ class TestCmdSolve:
 
 
 class TestCmdStability:
+    def test_diverging_perturbation_exits_three(self, tmp_path, capsys):
+        # the base solve converges; the second perturbation's forced solve overflows.
+        # The perturbations are solved together, so no file is written before the error.
+        out = tmp_path / "o"
+        config = LINEAR_F_CONFIG.replace(
+            "[output]", "[stability]\nshapes = constant\nepsilons = 1e-2, 1e307\n\n[output]")
+        path = write_config(tmp_path, config, out=str(out), b=1.0, c1=2, lip_f=2)
+        assert main(["solve", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["stability", "--config", path, "--out", str(tmp_path / "s")]) == 3
+        assert "solver divergence: fixed-point iterate left float64 range" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_worked_rows_and_pass_flags(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, WORKED_CONFIG, out=str(out), fmt="csv", seed=0)
@@ -634,6 +647,7 @@ class TestOutputFiles:
               1e300, -1e300, 3.0, -42.0, 2.0 ** 53, 0.1])
     def test_writer_matches_per_value_formatting(self, tmp_path_factory, values):
         out = tmp_path_factory.getbasetemp() / "writer"
+        out.mkdir(exist_ok=True)  # _write writes into an existing directory
         arr = np.array(values)
         assert [bytes(c).replace(b"\0", b"").decode() for c in _g17(arr)] == [
             f"{v:.17g}" for v in values]

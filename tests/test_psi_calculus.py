@@ -268,6 +268,29 @@ class TestFracIntegral:
                 alone = psi_calculus._product_trapezoid(alpha, x, spectra, w)
                 assert row.tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    @pytest.mark.parametrize("hint", [None, 0.75])
+    def test_stacked_integral_matches_per_row_calls(self, uniform_in, hint):
+        # a (P, N+1) stack is integrated row by row bit for bit, on the FFT path ("psi")
+        # and the panel path ("t"), with and without starting weights
+        psi = ORACLE_PSIS["exponential"]
+        grid = make_grid(psi, 1.0, 300, 0.5, uniform_in=uniform_in)
+        assert grid.psi_uniform == (uniform_in == "psi")
+        x = grid.x
+        stack = np.stack((1.0 + x + np.cos(2.0 * x), np.sqrt(x), x ** 1.25, -np.exp(x)))
+        for alpha in (0.3, 0.8):
+            together = frac_integral_grid(alpha, psi, stack, grid, hint)
+            assert together.shape == stack.shape
+            for row, w in zip(together, stack):
+                alone = frac_integral_grid(alpha, psi, w, grid, hint)
+                assert row.tobytes() == alone.tobytes()
+
+    def test_stack_must_match_the_nodes(self, identity_psi):
+        grid = make_grid(identity_psi, 1.0, 10, 0.5)
+        for shape in ((2, 10), (2, 12), (1, 2, 11)):
+            with pytest.raises(GridError, match="does not match grid shape"):
+                frac_integral_grid(0.5, identity_psi, np.ones(shape), grid)
+
     def test_fft_length_is_scipy_next_fast_len(self):
         # the convolution length is the smallest 5-smooth n, as scipy's real-FFT rule
         sizes = [*range(1, 5001), *(2 * n + 1 for n in (64, 1000, 2000, 4000, 16000))]

@@ -6,6 +6,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from hilferlab import (
     DelayFFIDE,
+    DivergenceError,
     FractionalOrder,
     MlfParams,
     Perturbation,
@@ -21,9 +22,10 @@ from hilferlab import (
     uhml_constant,
     verify_uhml,
 )
+from hilferlab.picard_solver import solve_stacked
 from hilferlab.stability_lab import _realize, _shape_profile
 
-from conftest import ml_series
+from conftest import make_worked_problem, ml_series
 
 # uhml constant of the worked problem, frozen from the independent series:
 # A = 0.1/Gamma(1.5) + 0.1 = 0.21283791670955127
@@ -197,6 +199,106 @@ class TestVerifyUhml:
             problem, Perturbation(epsilon=1e-2, shape="constant"), SolveConfig(grid_size=100)
         )
         assert report.envelope_caveat  # psi(b)-psi(0) < 1
+
+
+#: Rows of one stacked run; the larger forcings take more sweeps to reach the tolerance.
+STACK_PERTURBATIONS = [
+    Perturbation(epsilon=1e-8, shape="constant"),
+    Perturbation(epsilon=1e-1, shape="sinusoid"),
+    Perturbation(epsilon=10.0, shape="square_wave"),
+    Perturbation(epsilon=1e3, shape="smooth_random", seed=3),
+]
+STACK_CASES = ["uhml_suite", "worked", "gamma_exp_psi", "uniform_in_t", "scaled_sin"]
+
+
+def stack_case(name):
+    """(problem, config) of one stacked-run case, see TestStackedRun."""
+    if name == "worked":  # its linear h runs the Volterra batch once per row
+        return make_worked_problem(), SolveConfig(grid_size=160)
+    exp_psi = name in ("gamma_exp_psi", "uniform_in_t")
+    f = (catalog.make_f("scaled_sin", amplitude=0.05) if name == "scaled_sin"
+         else catalog.make_f("linear", c1=0.05, c2=0.05))
+    problem = DelayFFIDE(
+        # gamma = 0.8 with u0 != 0 takes the starting weights
+        order=FractionalOrder(alpha=0.6, beta=0.5) if exp_psi else FractionalOrder(0.5, 1.0),
+        psi=catalog.make_psi("exponential" if exp_psi else "identity"),
+        f=f, h_kernel=None,
+        g=catalog.make_g("constant_lag", lag=0.5),
+        phi=catalog.make_phi("cosine"),
+        u0=1.0, b=1.0, r=0.5, lip_f=0.05,
+    )
+    uniform_in = "t" if name == "uniform_in_t" else "psi"  # "t": the panel path
+    return problem, SolveConfig(grid_size=160, grid_uniform_in=uniform_in)
+
+
+class TestStackedRun:
+    @pytest.mark.parametrize("name", STACK_CASES)
+    def test_stack_matches_one_perturbation_at_a_time(self, name):
+        problem, config = stack_case(name)
+        base = solve(problem, config)
+        grid = base.trajectory.grid
+        forcing = np.array([_realize(p, problem, grid)[0] for p in STACK_PERTURBATIONS])
+        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, grid=grid)]
+        assert len(set(sweeps)) > 1  # the rows leave the stack at different sweeps
+        # one sweep short of the slowest row, that row ends unconverged and the others not
+        short = replace(config, max_iter=max(sweeps) - 1)
+        for cfg in (config, short):
+            results = solve_stacked(problem, cfg, forcing, grid=grid)
+            assert [r.converged for r in results] == [n <= cfg.max_iter for n in sweeps]
+            for row, result in zip(forcing, results, strict=True):
+                alone = solve(problem, cfg, grid=grid, forcing=row)
+                assert result.iterations == alone.iterations
+                assert result.residual_history == alone.residual_history
+                assert result.converged == alone.converged
+                assert np.array_equal(result.trajectory.weighted_values,
+                                      alone.trajectory.weighted_values)
+            reports = verify_uhml(problem, STACK_PERTURBATIONS, cfg, base=base)
+            for pert, report in zip(STACK_PERTURBATIONS, reports, strict=True):
+                alone = verify_uhml(problem, pert, cfg, base=base)
+                assert np.array_equal(report.ratio_profile, alone.ratio_profile)
+                assert report.c_empirical == alone.c_empirical
+                assert report.converged == alone.converged
+                assert (report.shape, report.epsilon) == (pert.shape, pert.epsilon)
+
+    def test_f_called_once_per_stacked_sweep(self, worked_problem):
+        # f sees the rows still iterating, all of them in one call
+        seen = []
+
+        def counted(t, u1, u2, u3):
+            seen.append((np.shape(t), np.shape(u1), np.shape(u2), np.shape(u3)))
+            return worked_problem.f(t, u1, u2, u3)
+
+        problem = replace(worked_problem, f=counted)
+        config = SolveConfig(grid_size=120)
+        grid = make_grid(problem.psi, problem.b, 120, problem.r)
+        forcing = np.array([_realize(p, problem, grid)[0] for p in STACK_PERTURBATIONS])
+        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, grid=grid)]
+        rows = [sum(n > k for n in sweeps) for k in range(max(sweeps))]
+        assert seen == [((121,), (p, 121), (p, 121), (p, 121)) for p in rows]
+        assert rows[0] == len(STACK_PERTURBATIONS) and rows[-1] == 1
+
+    def test_sequence_gives_reports_in_order(self, worked_problem):
+        config = SolveConfig(grid_size=100)
+        reports = verify_uhml(worked_problem, reversed(STACK_PERTURBATIONS), config)
+        assert [(r.shape, r.epsilon) for r in reports] == [
+            (p.shape, p.epsilon) for p in reversed(STACK_PERTURBATIONS)]
+        assert verify_uhml(worked_problem, [], config) == []
+
+    def test_diverging_row_raises(self):
+        # the base converges (uncertified); the huge forcing of the second row overflows
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.5, beta=1.0),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c1=2.0), h_kernel=None,
+            g=catalog.make_g("no_delay"), phi=catalog.make_phi("constant", value=1.0),
+            u0=1.0, b=1.0, r=0.5, lip_f=2.0,
+        )
+        config = SolveConfig(grid_size=100)
+        assert solve(problem, config).converged
+        perts = [Perturbation(epsilon=1e-2, shape="constant"),
+                 Perturbation(epsilon=1e307, shape="constant")]
+        with pytest.raises(DivergenceError, match="left float64 range"):
+            verify_uhml(problem, perts, config)
 
 
 class TestMlEnvelope:
