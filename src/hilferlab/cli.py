@@ -354,38 +354,40 @@ def cmd_solve(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _load(args)
+    fmt = cfg.out_format
     if not cfg.perturbations:
         raise ConfigError("stability run needs at least one perturbation "
                           "([stability] shapes/epsilons)")
+    profiles = {}  # ratio-profile file stem -> its perturbation, in config order
+    for pert in cfg.perturbations:
+        stem = f"ratio_profile_{pert.shape}_{pert.epsilon:g}"
+        first = profiles.setdefault(stem, pert)
+        if first is not pert:
+            raise ConfigError(
+                f"perturbations {first.shape} eps={first.epsilon!r} and {pert.shape} "
+                f"eps={pert.epsilon!r} share the ratio-profile file {stem}.{fmt}")
     base = solve(cfg.problem, cfg.solve)
-    fmt = cfg.out_format
-    grid = base.trajectory.grid
+    reports = verify_uhml(cfg.problem, cfg.perturbations, cfg.solve, base=base)
     # every ratio profile lies on the base grid, so its time column is formatted once
-    times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
-    times = _g17(times) if fmt == "csv" else _tokens(times)
+    times = _g17(reports[0].profile_times) if fmt == "csv" else _tokens(reports[0].profile_times)
+    if reports[0].envelope_caveat:  # a property of the run, the same on every report
+        print("note: psi(b)-psi(0) < 1, where the mean-value bounds behind "
+              "the theoretical constant are extrapolated")
     header = ["shape", "epsilon", "c_theoretical", "c_empirical", "passed", "kappa_used"]
     rows: list[list] = []
-    all_converged = base.converged
-    caveat_shown = False
-    reports = verify_uhml(cfg.problem, cfg.perturbations, cfg.solve, base=base)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for pert, report in zip(cfg.perturbations, reports):
-        all_converged = all_converged and report.converged
-        if report.envelope_caveat and not caveat_shown:
-            print("note: psi(b)-psi(0) < 1, where the mean-value bounds behind "
-                  "the theoretical constant are extrapolated")
-            caveat_shown = True
+    for stem, report in zip(profiles, reports):
         rows.append([
             report.shape, report.epsilon, report.c_theoretical,
             report.c_empirical, report.passed, report.kappa_used,
         ])
-        _write(cfg.out_dir, f"ratio_profile_{pert.shape}_{pert.epsilon:g}", ["t", "ratio"],
-               [[times, report.ratio_profile]], fmt)
+        _write(cfg.out_dir, stem, ["t", "ratio"], [[times, report.ratio_profile]], fmt)
         print(f"shape={report.shape} epsilon={_fmt(report.epsilon)} "
               f"c_theoretical={_fmt(report.c_theoretical)} "
               f"c_empirical={_fmt(report.c_empirical)} passed={_fmt(report.passed)}")
     _write(cfg.out_dir, "stability", header, rows, fmt)
-    return _EXIT_OK if all_converged else _EXIT_DIVERGED
+    # each report's converged already includes the base solve
+    return _EXIT_OK if all(r.converged for r in reports) else _EXIT_DIVERGED
 
 
 _VERIFY_ALPHAS = (0.25, 0.5, 0.75, 1.0)

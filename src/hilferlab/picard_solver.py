@@ -36,9 +36,9 @@ stability run) iterate as one (P, N+1) stack of node values
 (:func:`solve_stacked`): each sweep calls f once on the stack and
 integrates the stack in one call, and each row stops at its own
 tolerance, so its result is bit for bit that of its solve alone.
-:func:`solve` is the one-row case of the same loop. A solve touches no
-global state besides the grid memo; results are deterministic for fixed
-inputs.
+:func:`solve` is the one-row case of the same loop. A solve's only
+state is the grid's cache of quadrature weights; results are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -132,9 +132,14 @@ def _rhs(
     row of a (len(s), subdivisions + 1) batch. The first subinterval uses
     the midpoint sample so that u, which may blow up like a negative power
     at tau = 0+, is never evaluated at 0; a row with s = 0 integrates to 0.
+
+    Where the delay leaves the origin forward, g(0) = 0 < g(s_1), F at s = 0
+    reads u(g(0+)) = u(0+), the node-0 value of u(s), not the history's phi(0).
     """
     g, h, f = problem.g, problem.h_kernel, problem.f
-    delayed = probe_at(np.asarray(g(s), dtype=float))
+    lags = np.asarray(g(s), dtype=float)
+    delayed = probe_at(lags)
+    forward = s.size > 1 and s[0] == lags[0] == 0.0 < lags[1]
     if h is not None:
         # the tau nodes of each row, with the first subinterval's midpoint in
         # place of tau = 0; columns 1.. are the trapezoid nodes. This is
@@ -158,7 +163,10 @@ def _rhs(
             inner = volterra(w_nodes)
         else:  # per row: a stacked batch would multiply the (len(s), M+1) probes by P
             inner = np.array([volterra(w) for w in w_nodes])
-        f_vals = np.asarray(f(s, u_s, delayed(w_nodes), inner), dtype=float)
+        u_lag = delayed(w_nodes)
+        if forward:
+            u_lag[..., 0] = u_s[..., 0]
+        f_vals = np.asarray(f(s, u_s, u_lag, inner), dtype=float)
         return np.broadcast_to(f_vals, w_nodes.shape[:-1] + s.shape)
 
     return rhs
@@ -290,8 +298,11 @@ def solve(
     :class:`DivergenceError`. This is the one-row case of
     :func:`solve_stacked`.
     """
+    validate_problem(problem)
+    checks = certify_contraction(problem)  # before make_grid, which a bad psi breaks
+    grid = grid_for(problem, config) if grid is None else grid
     rows = None if forcing is None else np.asarray(forcing, dtype=float)[None]
-    return _solve_rows(problem, config, grid, rows)[0]
+    return _solve_rows(problem, config, grid, rows, checks)[0]
 
 
 def solve_stacked(
@@ -299,36 +310,34 @@ def solve_stacked(
     config: SolveConfig,
     forcing: np.ndarray,
     *,
-    grid: Optional[Grid] = None,
+    base: SolveResult,
 ) -> list[SolveResult]:
-    """Solve D u = F(u) + z for every row z of ``forcing`` (shape (P, N+1)) on one grid.
+    """Solve D u = F(u) + z for every row z of ``forcing`` (shape (P, N+1)) on base's grid.
 
-    The rows share every sweep: one call of f on the (P, N+1) stack, one
-    fractional integral of the stack, one finiteness check. A row leaves
-    the stack at the sweep where its own residual reaches ``config.tol``,
-    so each result is bit for bit that of ``solve(..., forcing=row)``.
-    A non-finite iterate in any row raises :class:`DivergenceError`.
+    ``base`` is the unforced solve of ``problem``; the rows run on its
+    grid and reuse its Theta and certificate. The rows share every sweep:
+    one call of f on the (P, N+1) stack, one fractional integral of the
+    stack, one finiteness check. A row leaves the stack at the sweep
+    where its own residual reaches ``config.tol``, so each result is bit
+    for bit that of ``solve(..., forcing=row)`` on that grid. A
+    non-finite iterate in any row raises :class:`DivergenceError`.
     """
-    return _solve_rows(problem, config, grid, np.asarray(forcing, dtype=float))
+    return _solve_rows(problem, config, base.trajectory.grid, np.asarray(forcing, dtype=float),
+                       (base.theta, base.certified_by))
 
 
 def _solve_rows(
     problem: DelayFFIDE,
     config: SolveConfig,
-    grid: Optional[Grid],
+    grid: Grid,
     forcing: Optional[np.ndarray],
+    checks: tuple[float, Optional[str]],
 ) -> list[SolveResult]:
     """The one sweep loop: each row of a (P, N+1) ``forcing``, or one unforced row, to its stop."""
-    def checked() -> tuple[float, Optional[str]]:
-        validate_problem(problem)
-        return certify_contraction(problem)
-    # the forced solves of a stability run share the base solve's grid, so they reuse its checks
-    checks = checked() if grid is None else None  # before make_grid, which a bad psi breaks
-    grid = grid_for(problem, config) if grid is None else grid
     if forcing is not None and forcing.shape[1:] != grid.nodes.shape:
         raise ValueError(
             f"forcing has shape {forcing.shape[1:]} per row, the nodes {grid.nodes.shape}")
-    theta, certificate = grid.memo(("checked", problem), lambda: checks or checked())
+    theta, certificate = checks
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
     warning = None
     if certificate is None:

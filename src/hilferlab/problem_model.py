@@ -52,16 +52,16 @@ class DelayFFIDE:
     """A delay integrodifferential problem instance.
 
     ``f(t, u1, u2, u3)``, ``h_kernel(t, s, v1, v2)``, ``g(t)`` and
-    ``phi(t)`` must be numpy-vectorized and hashable (a problem keys grid
-    memos). The solver iterates a stack of rows: it calls ``f`` with
-    ``t`` of shape (N+1,) and ``u1``, ``u2``, ``u3`` of shape (P, N+1),
-    P >= 1 (P = 1 for a plain solve), so ``f`` must broadcast that leading
-    row axis against ``t`` and treat the rows independently; ``h_kernel``
-    still sees one row at a time. ``h_kernel=None`` means the inner
-    Volterra term is absent (the delay-only reduction). ``lip_f`` and
-    ``lip_h`` are the declared Lipschitz constants with respect to the sum
-    of absolute argument differences; they are inputs, not certified
-    values (see :func:`estimate_lipschitz`).
+    ``phi(t)`` must be numpy-vectorized. The solver iterates a stack of
+    rows: it calls ``f`` with ``t`` of shape (N+1,) and ``u1``, ``u2``,
+    ``u3`` of shape (P, N+1), P >= 1 (P = 1 for a plain solve), so ``f``
+    must broadcast that leading row axis against ``t`` and treat the rows
+    independently; ``h_kernel`` still sees one row at a time.
+    ``h_kernel=None`` means the inner Volterra term is absent (the
+    delay-only reduction). ``lip_f`` and ``lip_h`` are the declared
+    Lipschitz constants with respect to the sum of absolute argument
+    differences; they are inputs, not certified values (see
+    :func:`estimate_lipschitz`).
     """
 
     order: FractionalOrder

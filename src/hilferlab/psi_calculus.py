@@ -26,16 +26,13 @@ stage, which maps the node values of w to u(t). A Picard solve probes its
 times once and applies every sweep.
 
 Every function here is deterministic and safe to call concurrently. The
-one piece of state is a memo on each :class:`Grid` (:meth:`Grid.memo`):
-values that depend only on the grid are built on first use and reused by
-every later call on that grid. It holds the grid-only part of the
-fractional integral (the kernel spectra of the convolution path and the
-starting weights) for each ``(alpha, rho)``, which a Picard solve reuses
-once per sweep, and what every perturbation of a stability run shares:
-the Mittag-Leffler envelope, and the checks and stability constant keyed
-on the (frozen, hashable) problem, whose forced solves run on this grid.
-A memo value is a pure function of the grid and the key, so a race
-between threads only computes the same value twice.
+one piece of state is a cache of quadrature weights on each
+:class:`Grid`: the grid-only part of the fractional integral (the kernel
+spectra of the convolution path and the starting weights), built on
+first use for each ``(alpha, rho)`` and reused by every later call on
+that grid, such as each sweep of a Picard solve. An entry is a pure
+function of the grid and its key, so a race between threads only
+computes the same weights twice.
 """
 
 from __future__ import annotations
@@ -121,15 +118,15 @@ class Grid:
     satisfy it, and so do identity-psi grids built uniform in t.
 
     A grid equals only itself: two grids with the same nodes are distinct
-    objects, each with its own :meth:`memo`. Compare the arrays to compare
-    contents.
+    objects, each with its own cache of quadrature weights. Compare the
+    arrays to compare contents.
     """
 
     nodes: np.ndarray
     history_nodes: np.ndarray
     x: np.ndarray
     psi_uniform: bool = field(init=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -158,13 +155,6 @@ class Grid:
             raise GridError("psi must be strictly increasing across the grid nodes")
         uniform = np.array_equal(x, np.linspace(0.0, x[-1], x.size))
         object.__setattr__(self, "psi_uniform", uniform)
-
-    def memo(self, key, build: Callable[[], object]):
-        """The value stored on this grid under ``key``; ``build()`` makes it on first use."""
-        found = self._memo.get(key)
-        if found is None:
-            found = self._memo.setdefault(key, build())
-        return found
 
     @property
     def n_intervals(self) -> int:
@@ -407,15 +397,15 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.nd
 
 
 def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
-    """(kernel spectra or None, starting weights or None) of I^alpha on grid, memoized."""
-
-    def build() -> tuple:
+    """(kernel spectra or None, starting weights or None) of I^alpha on grid, cached on it."""
+    found = grid._weights.get((alpha, rho))
+    if found is None:
         x = grid.x
-        n = x.size - 1
-        spectra = _uniform_spectra(alpha, float(np.diff(x).mean()), n) if grid.psi_uniform else None
-        return spectra, None if rho is None else _starting_weights(alpha, x, rho, spectra)
-
-    return grid.memo((alpha, rho), build)
+        spectra = (_uniform_spectra(alpha, float(np.diff(x).mean()), x.size - 1)
+                   if grid.psi_uniform else None)
+        start = None if rho is None else _starting_weights(alpha, x, rho, spectra)
+        found = grid._weights.setdefault((alpha, rho), (spectra, start))
+    return found
 
 
 def frac_integral_grid(
@@ -553,7 +543,7 @@ def hilfer_derivative_grid(
     return deriv
 
 
-def weighted_norm(gamma: float, psi: PsiFunction, traj: Trajectory) -> float:
+def weighted_norm(gamma: float, traj: Trajectory) -> float:
     """Max of |w| over the interior nodes and the t -> 0+ weighted limit."""
     if traj.gamma != gamma:
         raise ValueError(
@@ -562,7 +552,7 @@ def weighted_norm(gamma: float, psi: PsiFunction, traj: Trajectory) -> float:
     return max(abs(traj.initial_weight), float(np.max(np.abs(traj.weighted_values))))
 
 
-def bielecki_norm(gamma: float, delta: float, psi: PsiFunction, traj: Trajectory) -> float:
+def bielecki_norm(gamma: float, delta: float, traj: Trajectory) -> float:
     """Weighted sup-norm with exponential damping exp(-delta (psi(t)-psi(0)))."""
     if delta < 0.0:
         raise ValueError(f"bielecki_norm requires delta >= 0, got {delta!r}")

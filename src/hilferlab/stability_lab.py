@@ -95,29 +95,23 @@ def ml_envelope(alpha: float, psi, t) -> np.ndarray:
 
 
 def _node_envelope(alpha: float, psi, grid: Grid) -> np.ndarray:
-    """:func:`ml_envelope` at every node (1 at t = 0), built once per grid, alpha and psi."""
-
-    def build() -> np.ndarray:
-        envelope = ml_envelope(alpha, psi, grid.nodes)
-        if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
-            raise AssertionError("Mittag-Leffler envelope must be nondecreasing in t")
-        envelope.flags.writeable = False  # shared by every perturbation on the grid
-        return envelope
-
-    return grid.memo(("ml_envelope", alpha, psi), build)
+    """:func:`ml_envelope` at every node (1 at t = 0)."""
+    envelope = ml_envelope(alpha, psi, grid.nodes)
+    if np.any(np.diff(envelope) < -1e-12 * np.max(envelope)):
+        raise AssertionError("Mittag-Leffler envelope must be nondecreasing in t")
+    return envelope
 
 
-def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(eps * shape * envelope, envelope), both at every node.
+def _realize(pert: Perturbation, problem: DelayFFIDE, grid: Grid, envelope) -> np.ndarray:
+    """eps * shape * envelope at every node, given the node envelope.
 
     Node 0 carries the perturbation's right limit at t = 0: eps * shape(0+),
     the envelope being E_alpha(0) = 1 there.
     """
-    envelope = _node_envelope(problem.order.alpha, problem.psi, grid)
     values = pert.epsilon * _shape_profile(pert, grid.nodes, problem.b) * envelope
     if np.any(np.abs(values) > pert.epsilon * envelope * (1.0 + 1e-12)):
         raise AssertionError("realized perturbation violates its admissibility envelope")
-    return values, envelope
+    return values
 
 
 def uhml_constant(problem: DelayFFIDE) -> float:
@@ -152,9 +146,9 @@ def solve_perturbed(
 
     The forcing is realized on ``grid``, by default the config's grid.
     """
-    if grid is None:
-        grid = grid_for(problem, config)
-    return solve(problem, config, grid=grid, forcing=_realize(pert, problem, grid)[0]).trajectory
+    grid = grid_for(problem, config) if grid is None else grid
+    forcing = _realize(pert, problem, grid, _node_envelope(problem.order.alpha, problem.psi, grid))
+    return solve(problem, config, grid=grid, forcing=forcing).trajectory
 
 
 @dataclass
@@ -215,11 +209,10 @@ def verify_uhml(
         base = solve(problem, config)
     u = base.trajectory
     grid = u.grid
-    forcing = np.array([_realize(pert, problem, grid)[0] for pert in perts])
     envelope = _node_envelope(problem.order.alpha, problem.psi, grid)
-    perturbed_results = solve_stacked(problem, config, forcing, grid=grid)
-    c_theory, kappa, a_const, x_b = grid.memo(  # every perturbation shares it
-        ("uhml_terms", problem), lambda: _uhml_terms(problem))
+    forcing = np.array([_realize(pert, problem, grid, envelope) for pert in perts])
+    perturbed_results = solve_stacked(problem, config, forcing, base=base)
+    c_theory, kappa, a_const, x_b = _uhml_terms(problem)
 
     reports = []
     for pert, perturbed in zip(perts, perturbed_results):

@@ -481,6 +481,29 @@ class TestCmdStability:
         profiles = [p for p in os.listdir(out) if p.startswith("ratio_profile_")]
         assert len(profiles) == 6
 
+    @pytest.mark.parametrize("lists,first,second,stem", [
+        ("shapes = constant\nepsilons = 1e-2, 0.0100000001",
+         "constant eps=0.01", "constant eps=0.0100000001", "ratio_profile_constant_0.01"),
+        ("shapes = sinusoid, constant, sinusoid\nepsilons = 1e-3",
+         "sinusoid eps=0.001", "sinusoid eps=0.001", "ratio_profile_sinusoid_0.001"),
+    ])
+    def test_shared_profile_file_exits_one(self, tmp_path, capsys, monkeypatch,
+                                           lists, first, second, stem):
+        # the names clash before any solve, so no file is overwritten or written
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run whose profile files clash")
+
+        monkeypatch.setattr(hilferlab.cli, "solve", refuse)
+        config = WORKED_CONFIG.replace(
+            "shapes = constant, sinusoid, square_wave\nepsilons = 1e-2, 1e-3", lists)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, config, out=str(out), fmt="json", seed=0)
+        assert main(["stability", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: perturbations {first} and {second} share the "
+            f"ratio-profile file {stem}.json\n")
+        assert not out.exists()
+
     def test_requires_perturbations(self, tmp_path):
         path = write_config(tmp_path, ZERO_F_CONFIG, out=str(tmp_path / "o"))
         assert main(["stability", "--config", path]) == 1

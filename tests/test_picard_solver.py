@@ -313,6 +313,32 @@ class TestSolve:
                             + 0.5 * x ** (alpha + 1.0) / math.gamma(alpha + 2.0))
         assert np.max(np.abs(result.trajectory.weighted_values - exact)) <= 1e-12
 
+    @pytest.mark.parametrize("beta,u0,phi0,c0,exact", [
+        # gamma = 1: u = E_0.5(0.5 t^0.5), u(0+) = 1
+        (1.0, 1.0, 0.0, 0.0, lambda t: ml_series(0.5, 1.0, 0.5 * t**0.5)),
+        # gamma = 0.75, u0 = 0: u = t^0.5 E_{0.5,1.5}(0.5 t^0.5), u(0+) = 0
+        (0.5, 0.0, 1.0, 1.0, lambda t: t**0.5 * ml_series(0.5, 1.5, 0.5 * t**0.5)),
+    ], ids=["gamma-one", "zero-u0"])
+    def test_delay_leaving_origin_forward_reads_right_limit(self, beta, u0, phi0, c0, exact):
+        # g(t) = t leaves 0 forward, so F(0) reads u(0+), not phi(0): reading phi(0)
+        # puts an O(h^0.5) error into the first panel and the order drops to 0.5
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.5, beta=beta),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c0=c0, c2=0.5),
+            h_kernel=None,
+            g=catalog.make_g("no_delay"),
+            phi=catalog.make_phi("constant", value=phi0),
+            u0=u0, b=1.0, r=0.5, lip_f=0.5,
+        )
+        errors = []
+        for n in (250, 500, 1000, 2000):
+            traj = solve(problem, SolveConfig(grid_size=n, tol=1e-14)).trajectory
+            want = np.array([exact(t) for t in traj.grid.nodes[1:]])
+            errors.append(np.max(np.abs(traj.unweight(traj.weighted_values) - want)))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all(ratios >= 1.9), ratios
+
     def test_fixed_point_residual(self, worked_problem):
         config = SolveConfig(grid_size=300, tol=1e-10)
         result = solve(worked_problem, config)

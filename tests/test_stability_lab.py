@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from hilferlab import (
     verify_uhml,
 )
 from hilferlab.picard_solver import solve_stacked
-from hilferlab.stability_lab import _realize, _shape_profile
+from hilferlab.stability_lab import _node_envelope, _realize, _shape_profile
 
 from conftest import make_worked_problem, ml_series
 
@@ -231,19 +231,25 @@ def stack_case(name):
     return problem, SolveConfig(grid_size=160, grid_uniform_in=uniform_in)
 
 
+def stack_forcing(problem, grid, perts=STACK_PERTURBATIONS):
+    """The realized forcing of each perturbation at the nodes of grid, one row each."""
+    envelope = _node_envelope(problem.order.alpha, problem.psi, grid)
+    return np.array([_realize(p, problem, grid, envelope) for p in perts])
+
+
 class TestStackedRun:
     @pytest.mark.parametrize("name", STACK_CASES)
     def test_stack_matches_one_perturbation_at_a_time(self, name):
         problem, config = stack_case(name)
         base = solve(problem, config)
         grid = base.trajectory.grid
-        forcing = np.array([_realize(p, problem, grid)[0] for p in STACK_PERTURBATIONS])
-        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, grid=grid)]
+        forcing = stack_forcing(problem, grid)
+        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, base=base)]
         assert len(set(sweeps)) > 1  # the rows leave the stack at different sweeps
         # one sweep short of the slowest row, that row ends unconverged and the others not
         short = replace(config, max_iter=max(sweeps) - 1)
         for cfg in (config, short):
-            results = solve_stacked(problem, cfg, forcing, grid=grid)
+            results = solve_stacked(problem, cfg, forcing, base=base)
             assert [r.converged for r in results] == [n <= cfg.max_iter for n in sweeps]
             for row, result in zip(forcing, results, strict=True):
                 alone = solve(problem, cfg, grid=grid, forcing=row)
@@ -270,9 +276,10 @@ class TestStackedRun:
 
         problem = replace(worked_problem, f=counted)
         config = SolveConfig(grid_size=120)
-        grid = make_grid(problem.psi, problem.b, 120, problem.r)
-        forcing = np.array([_realize(p, problem, grid)[0] for p in STACK_PERTURBATIONS])
-        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, grid=grid)]
+        base = solve(problem, config)
+        forcing = stack_forcing(problem, base.trajectory.grid)
+        seen.clear()
+        sweeps = [r.iterations for r in solve_stacked(problem, config, forcing, base=base)]
         rows = [sum(n > k for n in sweeps) for k in range(max(sweeps))]
         assert seen == [((121,), (p, 121), (p, 121), (p, 121)) for p in rows]
         assert rows[0] == len(STACK_PERTURBATIONS) and rows[-1] == 1
@@ -299,6 +306,37 @@ class TestStackedRun:
                  Perturbation(epsilon=1e307, shape="constant")]
         with pytest.raises(DivergenceError, match="left float64 range"):
             verify_uhml(problem, perts, config)
+
+
+@dataclass
+class LinearF:
+    """f = c * u(g(t)) as a plain dataclass with __call__: eq without hash, so unhashable."""
+
+    c: float
+
+    def __call__(self, t, u1, u2, u3):
+        return self.c * u2
+
+
+def test_unhashable_f_solves_and_verifies(worked_problem):
+    # nothing keys a cache on the problem, so its functions need not be hashable
+    unhashable = replace(worked_problem, f=LinearF(0.05))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(unhashable)
+    hashable = replace(worked_problem, f=lambda t, u1, u2, u3: 0.05 * u2)
+    config = SolveConfig(grid_size=100)
+    perts = STACK_PERTURBATIONS[:2]
+    def run(problem):
+        return (solve(problem, config), verify_uhml(problem, perts, config),
+                solve_perturbed(problem, perts[0], config))
+
+    (base, reports, forced), (base_ref, reports_ref, forced_ref) = run(unhashable), run(hashable)
+    assert base.converged
+    assert np.array_equal(base.trajectory.weighted_values, base_ref.trajectory.weighted_values)
+    for report, ref in zip(reports, reports_ref, strict=True):
+        assert report.converged
+        assert np.array_equal(report.ratio_profile, ref.ratio_profile)
+    assert np.array_equal(forced.weighted_values, forced_ref.weighted_values)
 
 
 class TestMlEnvelope:
@@ -382,7 +420,8 @@ class TestForcing:
     def test_forcing_is_eps_shape_envelope(self, worked_problem, shape):
         grid = make_grid(worked_problem.psi, 1.0, 50, 0.5)
         pert = Perturbation(epsilon=1e-2, shape=shape)
-        forcing, envelope = _realize(pert, worked_problem, grid)
+        envelope = _node_envelope(0.5, worked_problem.psi, grid)
+        forcing = _realize(pert, worked_problem, grid, envelope)
         t = grid.nodes
         expected = mittag_leffler_values(
             MlfParams(alpha=0.5), worked_problem.psi.shifted(t) ** 0.5
@@ -406,8 +445,8 @@ class TestForcing:
         verify_uhml(problem, pert, config)
         seen = len(calls)
         base = solve(problem, config)
-        forced = solve(problem, config, grid=base.trajectory.grid,
-                       forcing=_realize(pert, problem, base.trajectory.grid)[0])
+        grid = base.trajectory.grid
+        forced = solve(problem, config, grid=grid, forcing=stack_forcing(problem, grid, [pert])[0])
         assert seen == base.iterations + forced.iterations
         assert set(calls) == {(201,)}
 
