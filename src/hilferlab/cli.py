@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -275,25 +274,14 @@ def _write(out_dir: str, stem: str, header: list[str], blocks: list[list], fmt: 
         fh.write("[\n" + ",\n".join(body) + "\n]\n")
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    solve_cfg = cfg.solve
-    if args.grid is not None:
-        solve_cfg = replace(solve_cfg, grid_size=args.grid)
-    if args.tol is not None:
-        solve_cfg = replace(solve_cfg, tol=args.tol)
-    cfg.solve = solve_cfg
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.fmt is not None:
-        cfg.out_format = args.fmt
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.perturbations = [replace(p, seed=args.seed) for p in cfg.perturbations]
-    return cfg
+def _given(**flags) -> dict:
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _load(args) -> ExperimentConfig:
-    return _apply_overrides(parse_config(args.config), args)
+    """The config file, with the flags that are set merged over the keys they override."""
+    return parse_config(args.config, solve=_given(grid_size=args.grid, tol=args.tol),
+                        output=_given(out_dir=args.out, out_format=args.fmt, seed=args.seed))
 
 
 def cmd_check(args) -> int:

@@ -4,14 +4,17 @@ A config declares the problem in ``[problem]`` by catalog names plus
 numeric parameters, the solver controls in ``[solve]``, an optional
 stability block in ``[stability]``, and output settings in ``[output]``;
 the README's "Config format" section lists every key. Catalog parameters
-use the ``<slot>_<name>`` key convention (``f_c1``, ``g_lag``). A ``;``
-after whitespace starts an inline comment.
+use the ``<slot>_<name>`` key convention (``f_c1``, ``g_lag``), where
+``<name>`` is a keyword argument of the form's builder in
+:mod:`hilferlab.catalog`. A ``;`` after whitespace starts an inline comment.
 
 ``[solve]``, ``[stability]`` and ``[output]`` are read through one key
 table each, which maps an INI key to the dataclass field it sets. A key
 that is absent keeps the field's default, so every default is written
 once, on :class:`SolveConfig`, :class:`Perturbation` or
-:class:`ExperimentConfig`. Parse or validation failures raise
+:class:`ExperimentConfig`. Command-line flags are field values merged
+over the ``[solve]`` and ``[output]`` keys before validation, so a flag is
+checked and reported like its key. Parse or validation failures raise
 :class:`ConfigError` with a section/key diagnostic.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .catalog import make_f, make_g, make_h, make_phi, make_psi
 from .errors import ConfigError
@@ -30,7 +34,7 @@ _PROBLEM_SCALARS = {"alpha", "beta", "b", "r", "u0", "lip_f", "lip_h"}
 _PROBLEM_SLOTS = ("psi", "f", "h", "g", "phi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description ready to run."""
 
@@ -40,6 +44,12 @@ class ExperimentConfig:
     out_dir: str = "out"
     out_format: str = "csv"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.out_format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.out_format!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _float(section: configparser.SectionProxy, key: str) -> float:
@@ -64,13 +74,6 @@ def _text(section: configparser.SectionProxy, key: str) -> str:
     return section[key]
 
 
-def _out_format(section: configparser.SectionProxy, key: str) -> str:
-    value = section[key]
-    if value not in ("csv", "json"):
-        raise ConfigError(f"[{section.name}] {key} must be csv or json, got {value!r}")
-    return value
-
-
 # INI key -> (dataclass field, reader); the keys are the section's allowed keys
 _SOLVE_KEYS = {
     "grid_size": ("grid_size", _int),
@@ -86,7 +89,7 @@ _STABILITY_KEYS = {"frequency": ("frequency", _float), "modes": ("modes", _int)}
 _STABILITY_LISTS = frozenset({"shapes", "epsilons"})
 _OUTPUT_KEYS = {
     "directory": ("out_dir", _text),
-    "format": ("out_format", _out_format),
+    "format": ("out_format", _text),
     "seed": ("seed", _int),
 }
 
@@ -149,12 +152,12 @@ def _fields(
     return {fld: read(section, key) for key, (fld, read) in table.items() if key in section}
 
 
-def _solve_from(parser: configparser.ConfigParser) -> SolveConfig:
-    fields = _fields(parser, "solve", _SOLVE_KEYS)
+def _checked(section: str, cls, *args, **fields):
+    """``cls(*args, **fields)``, its ValueError reported as a config error in [section]."""
     try:
-        return SolveConfig(**fields)
+        return cls(*args, **fields)
     except ValueError as exc:
-        raise ConfigError(f"[solve] {exc}") from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _split_list(section: configparser.SectionProxy, key: str) -> list[str]:
@@ -178,15 +181,14 @@ def _perturbations_from(parser: configparser.ConfigParser, seed: int) -> list[Pe
                 eps = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"[stability] epsilons: bad number {raw!r}") from exc
-            try:
-                perts.append(Perturbation(epsilon=eps, shape=shape, seed=seed, **params))
-            except ValueError as exc:
-                raise ConfigError(f"[stability] {exc}") from exc
+            perts.append(_checked("stability", Perturbation, eps, shape, seed=seed, **params))
     return perts
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
+def parse_config(
+    path: str, solve: Optional[Mapping] = None, output: Optional[Mapping] = None
+) -> ExperimentConfig:
+    """Read and validate a config file; ``solve`` and ``output`` field values override it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
@@ -197,8 +199,9 @@ def parse_config(path: str) -> ExperimentConfig:
     if not parser.has_section("problem"):
         raise ConfigError("missing required section [problem]")
 
-    output = _fields(parser, "output", _OUTPUT_KEYS)
+    output = {**_fields(parser, "output", _OUTPUT_KEYS), **(output or {})}
     problem = _problem_from(parser["problem"])
-    cfg = ExperimentConfig(problem=problem, solve=_solve_from(parser), **output)
-    cfg.perturbations = _perturbations_from(parser, cfg.seed)
-    return cfg
+    fields = {**_fields(parser, "solve", _SOLVE_KEYS), **(solve or {})}
+    solve_cfg = _checked("solve", SolveConfig, **fields)
+    perturbations = _perturbations_from(parser, output.get("seed", ExperimentConfig.seed))
+    return _checked("output", ExperimentConfig, problem, solve_cfg, perturbations, **output)

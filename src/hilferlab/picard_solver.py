@@ -84,16 +84,20 @@ class SolveConfig:
             raise ValueError(
                 f"inner_quad_nodes must be >= 2, got {self.inner_quad_nodes!r}"
             )
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.norm_kind not in ("weighted", "bielecki"):
             raise ValueError(
                 f"norm_kind must be 'weighted' or 'bielecki', got {self.norm_kind!r}"
             )
-        if self.bielecki_delta < 0.0:
-            raise ValueError(f"bielecki_delta must be >= 0, got {self.bielecki_delta!r}")
+        if self.grid_uniform_in not in ("psi", "t"):
+            raise ValueError(f"grid_uniform_in must be 'psi' or 't', got {self.grid_uniform_in!r}")
+        if not 0.0 <= self.bielecki_delta < math.inf:
+            raise ValueError(
+                f"bielecki_delta must be >= 0 and finite, got {self.bielecki_delta!r}"
+            )
         if self.history_size < 1:
             raise ValueError(f"history_size must be >= 1, got {self.history_size!r}")
 

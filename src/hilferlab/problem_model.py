@@ -77,14 +77,16 @@ class DelayFFIDE:
     lip_h: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.b > 0.0:
-            raise ValueError(f"horizon b must be positive, got {self.b!r}")
-        if not self.r > 0.0:
-            raise ValueError(f"delay depth r must be positive, got {self.r!r}")
+        if not np.isfinite(self.u0):
+            raise ValueError(f"u0 must be finite, got {self.u0!r}")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError(f"horizon b must be positive and finite, got {self.b!r}")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError(f"delay depth r must be positive and finite, got {self.r!r}")
         # The theory wants lip_f > 0; zero is accepted so degenerate
         # right-hand sides (f == 0) remain constructible.
-        if self.lip_f < 0.0 or self.lip_h < 0.0:
-            raise ValueError("Lipschitz constants must be nonnegative")
+        if not (0.0 <= self.lip_f < np.inf and 0.0 <= self.lip_h < np.inf):
+            raise ValueError("Lipschitz constants must be nonnegative and finite")
 
 
 def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:

@@ -56,8 +56,10 @@ class Perturbation:
     modes: int = 4
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not np.isfinite(self.frequency):
+            raise ValueError(f"frequency must be finite, got {self.frequency!r}")
         if self.shape not in PERTURBATION_SHAPES:
             raise ValueError(
                 f"unknown perturbation shape {self.shape!r}; "

@@ -387,8 +387,32 @@ class TestCmdCheck:
         ("r = 0.5", "r = 0", "delay depth r must be positive"),
         ("phi = cosine\nphi_amplitude = 1.0\nphi_frequency = 1.0",
          "phi = linear\nphi_intercept = inf", "phi must be finite"),
+        ("max_iter = 60", "max_iter = 60\nuniform_in = tee",
+         "[solve] grid_uniform_in must be 'psi' or 't', got 'tee'"),
+        ("seed = {seed}", "seed = -1", "[output] seed must be >= 0, got -1"),
+        ("tol = 1e-10", "tol = inf", "[solve] tol must be positive and finite, got inf"),
+        ("max_iter = 60", "max_iter = 60\nbielecki_delta = nan",
+         "[solve] bielecki_delta must be >= 0 and finite, got nan"),
+        ("u0 = 1.0", "u0 = nan", "[problem] u0 must be finite, got nan"),
+        ("u0 = 1.0", "u0 = inf", "[problem] u0 must be finite, got inf"),
+        ("b = 1.0", "b = inf", "[problem] horizon b must be positive and finite, got inf"),
+        ("r = 0.5", "r = inf", "[problem] delay depth r must be positive and finite, got inf"),
+        ("lip_f = 0.05", "lip_f = inf",
+         "[problem] Lipschitz constants must be nonnegative and finite"),
+        ("lip_f = 0.05", "lip_f = nan",
+         "[problem] Lipschitz constants must be nonnegative and finite"),
+        ("lip_h = 0.1", "lip_h = nan",
+         "[problem] Lipschitz constants must be nonnegative and finite"),
+        ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2, inf",
+         "[stability] epsilon must be positive and finite, got inf"),
+        ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2\nfrequency = nan",
+         "[stability] frequency must be finite, got nan"),
+        ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2\nfrequency = inf",
+         "[stability] frequency must be finite, got inf"),
     ], ids=["format", "grid_size", "history_size", "no_shapes", "bad_epsilon", "modes",
-            "no_problem", "psi_rho", "g_lag", "r", "phi_intercept"])
+            "no_problem", "psi_rho", "g_lag", "r", "phi_intercept", "uniform_in", "seed",
+            "tol_inf", "bielecki_delta_nan", "u0_nan", "u0_inf", "b_inf", "r_inf", "lip_f_inf",
+            "lip_f_nan", "lip_h_nan", "epsilon_inf", "frequency_nan", "frequency_inf"])
     def test_invalid_input_exits_one(self, tmp_path, capsys, old, new, message):
         assert old in WORKED_CONFIG
         bad = WORKED_CONFIG.replace(old, new)
@@ -396,6 +420,23 @@ class TestCmdCheck:
         assert main(["check", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("check", ["--grid", "1"], "[solve] grid_size must be >= 2, got 1"),
+        ("solve", ["--tol", "0"], "[solve] tol must be positive and finite, got 0.0"),
+        ("solve", ["--tol", "inf"], "[solve] tol must be positive and finite, got inf"),
+        ("check", ["--seed", "-1"], "[output] seed must be >= 0, got -1"),
+        ("stability", ["--seed", "-2"], "[output] seed must be >= 0, got -2"),
+    ], ids=["grid", "tol_zero", "tol_inf", "seed_check", "seed_stability"])
+    def test_invalid_flag_exits_one(self, tmp_path, capsys, command, flags, message):
+        # a flag is checked and reported like the key it overrides, before anything runs
+        config = WORKED_CONFIG.replace("constant, sinusoid", "smooth_random, sinusoid")
+        out = tmp_path / "o"
+        path = write_config(tmp_path, config, out=str(out), fmt="csv", seed=0)
+        assert main([command, "--config", path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestCmdSolve:
@@ -595,7 +636,7 @@ def assert_files_match_a_per_value_formatter(tmp_path, stem, config, grid, profi
     assert main(["solve", "--config", path, "--grid", str(grid)]) == 0
     assert main(["stability", "--config", path, "--grid", str(grid)]) == 0
     cfg = parse_config(path)
-    cfg.solve = replace(cfg.solve, grid_size=grid)
+    cfg = replace(cfg, solve=replace(cfg.solve, grid_size=grid))
     result = solve(cfg.problem, cfg.solve)
     traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
     grid = traj.grid
