@@ -3,14 +3,15 @@
 Each entry maps a name to a builder of a numpy-vectorized callable, so
 configs stay portable text. A form's parameters and their defaults are its
 builder's keyword arguments, declared once there; values are converted with
-``float``. Unknown names or parameters raise :class:`ConfigError` listing
-the alternatives.
+``float`` and must be finite. Unknown names or parameters raise
+:class:`ConfigError` listing the alternatives.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +27,10 @@ def _parameters(build: Callable) -> tuple[str, ...]:
 
 
 def _build(kind: str, table: dict, name: str, params: dict):
-    """Look ``name`` up in a catalog table, check its parameters, and build it."""
+    """Look ``name`` up in a catalog table, check its parameters, and build it.
+
+    A non-finite parameter is a config error naming the slot, form and parameter.
+    """
     if name not in table:
         raise ConfigError(f"unknown {kind} form '{name}'; available: {sorted(table)}")
     build = table[name]
@@ -37,7 +41,12 @@ def _build(kind: str, table: dict, name: str, params: dict):
             f"{kind} form '{name}' does not accept parameter(s) {sorted(extra)}; "
             f"allowed: {list(allowed)}"
         )
-    return build(**{key: float(value) for key, value in params.items()})
+    values = {key: float(value) for key, value in params.items()}
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{kind} must be finite: form '{name}' parameter '{key}' is {value!r}")
+    return build(**values)
 
 
 # --- psi transforms --------------------------------------------------------

@@ -279,9 +279,11 @@ def _given(**flags) -> dict:
 
 
 def _load(args) -> ExperimentConfig:
-    """The config file, with the flags that are set merged over the keys they override."""
-    return parse_config(args.config, solve=_given(grid_size=args.grid, tol=args.tol),
-                        output=_given(out_dir=args.out, out_format=args.fmt, seed=args.seed))
+    """The config file, with the texts of the flags that are set in place of their keys."""
+    return parse_config(args.config, {
+        "solve": _given(grid_size=args.grid, tol=args.tol),
+        "output": _given(directory=args.out, format=args.fmt, seed=args.seed),
+    })
 
 
 def cmd_check(args) -> int:
@@ -454,8 +456,6 @@ def _identity_errors(psi, n: int) -> dict[str, float]:
 def cmd_verify_operators(args) -> int:
     psi_names = args.psi or ["identity", "exponential", "shifted_power"]
     grids = args.grid_list or [500, 1000, 2000]
-    fmt = args.fmt or "csv"
-    out_dir = args.out or "out"
     header = ["identity", "psi", "n", "max_rel_error", "observed_order"]
     rows: list[list] = []
     print(f"{'identity':<18} {'psi':<22} {'N':>6} {'max_rel_error':>14} {'order':>7}")
@@ -474,19 +474,19 @@ def cmd_verify_operators(args) -> int:
                 order_text = f"{order:7.2f}" if order is not None else "     --"
                 print(f"{identity:<18} {psi.label or name:<22} {n:>6} {err:>14.3e} {order_text}")
             previous = errs
-    os.makedirs(out_dir, exist_ok=True)
-    _write(out_dir, "operator_checks", header, rows, fmt)
+    os.makedirs(args.out, exist_ok=True)
+    _write(args.out, "operator_checks", header, rows, args.fmt)
     return _EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
-    if config_required:
-        sub.add_argument("--config", required=True, help="experiment config file")
-    sub.add_argument("--grid", type=int, default=None, help="override grid size N")
-    sub.add_argument("--tol", type=float, default=None, help="override stopping tolerance")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    """--config and the flags that override a config key; their text is read as the key's."""
+    sub.add_argument("--config", required=True, help="experiment config file")
+    sub.add_argument("--grid", default=None, help="override grid size N")
+    sub.add_argument("--tol", default=None, help="override stopping tolerance")
     sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override experiment seed")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
+    sub.add_argument("--seed", default=None, help="override experiment seed")
+    sub.add_argument("--format", dest="fmt", metavar="{csv,json}", default=None,
                      help="override output format")
 
 
@@ -514,8 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="psi catalog name (repeatable; default: all)")
     ver.add_argument("--grid", dest="grid_list", action="append", type=int, default=None,
                      help="grid size N (repeatable; default: 500 1000 2000)")
-    ver.add_argument("--out", default=None, help="output directory")
-    ver.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    ver.add_argument("--out", default=ExperimentConfig.out_dir, help="output directory")
+    ver.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                     default=ExperimentConfig.out_format)
     ver.set_defaults(func=cmd_verify_operators)
     return parser
 

@@ -12,9 +12,10 @@ use the ``<slot>_<name>`` key convention (``f_c1``, ``g_lag``), where
 table each, which maps an INI key to the dataclass field it sets. A key
 that is absent keeps the field's default, so every default is written
 once, on :class:`SolveConfig`, :class:`Perturbation` or
-:class:`ExperimentConfig`. Command-line flags are field values merged
-over the ``[solve]`` and ``[output]`` keys before validation, so a flag is
-checked and reported like its key. Parse or validation failures raise
+:class:`ExperimentConfig`. Values are literal text: a ``%`` is not
+interpolated. Command-line flags are key texts that replace the file's
+``[solve]`` and ``[output]`` keys before any key is read, so a flag goes
+through its key's reader and checks. Parse or validation failures raise
 :class:`ConfigError` with a section/key diagnostic.
 """
 
@@ -186,12 +187,17 @@ def _perturbations_from(parser: configparser.ConfigParser, seed: int) -> list[Pe
 
 
 def parse_config(
-    path: str, solve: Optional[Mapping] = None, output: Optional[Mapping] = None
+    path: str, overrides: Optional[Mapping[str, Mapping[str, str]]] = None
 ) -> ExperimentConfig:
-    """Read and validate a config file; ``solve`` and ``output`` field values override it."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    """Read and validate a config file.
+
+    ``overrides`` maps a section to key texts that replace the file's (the
+    section is added if the file lacks it); they are read like the file's.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
+    parser.read_dict(overrides or {})
     known = {"problem", "solve", "stability", "output"}
     extra = sorted(set(parser.sections()) - known)
     if extra:
@@ -199,9 +205,8 @@ def parse_config(
     if not parser.has_section("problem"):
         raise ConfigError("missing required section [problem]")
 
-    output = {**_fields(parser, "output", _OUTPUT_KEYS), **(output or {})}
+    output = _fields(parser, "output", _OUTPUT_KEYS)
     problem = _problem_from(parser["problem"])
-    fields = {**_fields(parser, "solve", _SOLVE_KEYS), **(solve or {})}
-    solve_cfg = _checked("solve", SolveConfig, **fields)
+    solve_cfg = _checked("solve", SolveConfig, **_fields(parser, "solve", _SOLVE_KEYS))
     perturbations = _perturbations_from(parser, output.get("seed", ExperimentConfig.seed))
     return _checked("output", ExperimentConfig, problem, solve_cfg, perturbations, **output)

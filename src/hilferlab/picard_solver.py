@@ -104,20 +104,31 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    """Outcome of a fixed-point solve with contraction diagnostics."""
+    """Outcome of a fixed-point solve; its diagnostics derive from the residuals and Theta."""
 
     trajectory: Trajectory
     residual_history: list[float]
-    observed_ratio: float
     converged: bool
-    iterations: int
     theta: float
     certified_by: Optional[str] = None
-    warning: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if len(self.residual_history) != self.iterations:
-            raise ValueError("residual_history must carry one entry per iteration")
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def observed_ratio(self) -> float:
+        """Geometric mean of the ratios of successive positive residuals (nan if none)."""
+        res = self.residual_history
+        logs = [math.log(b / a) for a, b in zip(res, res[1:]) if a > 0.0 and b > 0.0]
+        return math.exp(sum(logs) / len(logs)) if logs else math.nan
+
+    @property
+    def warning(self) -> Optional[str]:
+        if self.certified_by is not None:
+            return None
+        return (f"contraction uncertified: theta={self.theta:.6g} >= 1, and the damped "
+                f"condition is no smaller at any delta; proceeding best-effort")
 
 
 def _rhs(
@@ -223,19 +234,18 @@ class _Workspace:
             return self.w_init + self.weight * integral  # I = 0 at node 0
 
 
-def eval_F(
-    problem: DelayFFIDE, traj: Trajectory, s: float, inner_quad_nodes: int
-) -> float:
-    """The integral-equation right-hand side F at a single time s > 0."""
+def eval_F(problem: DelayFFIDE, traj: Trajectory, s: float, config: SolveConfig) -> float:
+    """The integral-equation right-hand side F at a single time s > 0.
+
+    The Volterra term takes ``config.inner_quad_nodes`` panels, as in a solve.
+    """
     s = float(s)
     if not s > 0.0:
         raise ValueError(f"eval_F requires s > 0, got {s!r}")
     if s > traj.grid.horizon + 1e-12:
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
-    if inner_quad_nodes < 2:
-        raise ValueError(f"inner_quad_nodes must be >= 2, got {inner_quad_nodes!r}")
     probe_at = partial(probe, traj.grid, problem.psi, traj.gamma, traj.history_values)
-    rhs = _rhs(problem, probe_at, np.array([s]), inner_quad_nodes)
+    rhs = _rhs(problem, probe_at, np.array([s]), config.inner_quad_nodes)
     return float(rhs(traj.node_values(), trajectory_values(traj, problem.psi, s))[0])
 
 
@@ -249,17 +259,6 @@ def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> T
     ws = _Workspace(problem, traj.grid, config.inner_quad_nodes, traj.history_values)
     w_next = ws.sweep(traj.node_values())
     return replace(traj, weighted_values=w_next[1:], initial_weight=ws.w_init)
-
-
-def _geometric_ratio(residuals: list[float]) -> float:
-    logs = [
-        math.log(b / a)
-        for a, b in zip(residuals, residuals[1:])
-        if a > 0.0 and b > 0.0
-    ]
-    if not logs:
-        return float("nan")
-    return math.exp(sum(logs) / len(logs))
 
 
 def certify_contraction(problem: DelayFFIDE) -> tuple[float, Optional[str]]:
@@ -343,12 +342,6 @@ def _solve_rows(
             f"forcing has shape {forcing.shape[1:]} per row, the nodes {grid.nodes.shape}")
     theta, certificate = checks
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
-    warning = None
-    if certificate is None:
-        warning = (
-            f"contraction uncertified: theta={theta:.6g} >= 1, and the damped "
-            f"condition is no smaller at any delta; proceeding best-effort"
-        )
 
     damping = None
     if config.norm_kind == "bielecki":
@@ -390,11 +383,8 @@ def _solve_rows(
         results.append(SolveResult(
             trajectory=traj,
             residual_history=history,
-            observed_ratio=_geometric_ratio(history),
             converged=ok,
-            iterations=len(history),
             theta=theta,
             certified_by=certificate,
-            warning=warning,
         ))
     return results

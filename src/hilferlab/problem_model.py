@@ -15,7 +15,7 @@ inside the guaranteed contraction regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,9 +90,11 @@ class DelayFFIDE:
 
 
 def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:
-    """Sampled sanity checks: g(t) <= t, g(t) >= -r, phi finite, psi' > 0."""
+    """Sampled sanity checks: g finite, g(t) <= t, g(t) >= -r, phi finite, psi' > 0."""
     t = np.linspace(0.0, problem.b, samples)
     gt = np.asarray(problem.g(t), dtype=float)
+    if not np.all(np.isfinite(gt)):
+        raise ValueError("delay map g must be finite on [0, b]")
     tol = 1e-12 * max(1.0, problem.b)
     if np.any(gt > t + tol):
         bad = float(t[np.argmax(gt - t)])
@@ -222,21 +224,21 @@ class HypothesisReport:
     """Numeric record of the contraction hypotheses for one problem."""
 
     theta: float
-    theta_ok: bool
     bielecki_lhs: float
-    bielecki_ok: bool
     zeta: float
     delta_used: float
     lipschitz_spot_check: tuple[float, float]
-    zeta_inf: float = field(default=float("nan"))
-    theta_inf_variant: float = field(default=float("nan"))
+    zeta_inf: float = float("nan")
+    theta_inf_variant: float = float("nan")
     lipschitz_exceeds_declared: bool = False
 
-    def __post_init__(self) -> None:
-        if self.theta_ok != (self.theta < 1.0):
-            raise ValueError("theta_ok must equal (theta < 1)")
-        if self.bielecki_ok != (self.bielecki_lhs < 1.0):
-            raise ValueError("bielecki_ok must equal (bielecki_lhs < 1)")
+    @property
+    def theta_ok(self) -> bool:
+        return self.theta < 1.0
+
+    @property
+    def bielecki_ok(self) -> bool:
+        return self.bielecki_lhs < 1.0
 
 
 def build_hypothesis_report(
@@ -256,9 +258,7 @@ def build_hypothesis_report(
     exceeds = spot[0] > problem.lip_f + slack or spot[1] > problem.lip_h + slack
     return HypothesisReport(
         theta=theta,
-        theta_ok=theta < 1.0,
         bielecki_lhs=bielecki,
-        bielecki_ok=bielecki < 1.0,
         zeta=zeta_sup,
         delta_used=delta,
         lipschitz_spot_check=spot,

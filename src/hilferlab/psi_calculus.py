@@ -484,7 +484,7 @@ def power_rule_reference(alpha: float, sigma: float, psi: PsiFunction, t) -> np.
 
 
 def hilfer_derivative_grid(
-    order: "FractionalOrder",
+    order: FractionalOrder,
     psi: PsiFunction,
     samples: np.ndarray,
     grid: Grid,
@@ -543,22 +543,17 @@ def hilfer_derivative_grid(
     return deriv
 
 
-def weighted_norm(gamma: float, traj: Trajectory) -> float:
-    """Max of |w| over the interior nodes and the t -> 0+ weighted limit."""
-    if traj.gamma != gamma:
-        raise ValueError(
-            f"trajectory carries gamma={traj.gamma!r}, norm requested gamma={gamma!r}"
-        )
-    return max(abs(traj.initial_weight), float(np.max(np.abs(traj.weighted_values))))
+def weighted_norm(traj: Trajectory) -> float:
+    """Max of |w| over the interior nodes and the t -> 0+ weighted limit.
+
+    This is :func:`bielecki_norm` at delta = 0.
+    """
+    return bielecki_norm(0.0, traj)
 
 
-def bielecki_norm(gamma: float, delta: float, traj: Trajectory) -> float:
+def bielecki_norm(delta: float, traj: Trajectory) -> float:
     """Weighted sup-norm with exponential damping exp(-delta (psi(t)-psi(0)))."""
     if delta < 0.0:
         raise ValueError(f"bielecki_norm requires delta >= 0, got {delta!r}")
-    if traj.gamma != gamma:
-        raise ValueError(
-            f"trajectory carries gamma={traj.gamma!r}, norm requested gamma={gamma!r}"
-        )
     damped = np.exp(-delta * traj.grid.x[1:]) * np.abs(traj.weighted_values)
     return max(abs(traj.initial_weight), float(np.max(damped)))

@@ -25,7 +25,7 @@ experiment is deterministic given its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -160,8 +160,6 @@ class StabilityReport:
     shape: str
     epsilon: float
     c_theoretical: float
-    c_empirical: float
-    passed: bool
     kappa_used: float
     a_used: float
     profile_times: np.ndarray
@@ -169,25 +167,27 @@ class StabilityReport:
     envelope_caveat: bool
     converged: bool
 
-    def __post_init__(self) -> None:
-        self.profile_times = np.asarray(self.profile_times, dtype=float)
-        self.ratio_profile = np.asarray(self.ratio_profile, dtype=float)
-        if np.any(self.ratio_profile < 0.0):
-            raise ValueError("ratio profile entries must be nonnegative")
+    @property
+    def c_empirical(self) -> float:
+        """The largest observed ratio, the empirical stability constant."""
+        return float(np.max(self.ratio_profile))
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.c_empirical <= self.c_theoretical)
 
 
 def verify_uhml(
     problem: DelayFFIDE,
-    perts: Union[Perturbation, Sequence[Perturbation]],
+    perts: Sequence[Perturbation],
     config: SolveConfig,
     *,
     base: Optional[SolveResult] = None,
-) -> Union[StabilityReport, list[StabilityReport]]:
+) -> list[StabilityReport]:
     """Solve the base and the forced problems on one grid and compare deviations.
 
-    ``perts`` is one :class:`Perturbation`, which gives one report, or a
-    sequence of them, which gives their reports in order. The forced
-    solves of a sequence run as one stacked iteration
+    Returns one report per perturbation of ``perts``, in order (none for
+    an empty sequence). The forced solves run as one stacked iteration
     (:func:`hilferlab.picard_solver.solve_stacked`); each report is the
     one its perturbation gets alone, bit for bit.
 
@@ -195,7 +195,8 @@ def verify_uhml(
     window both solutions carry the identical prescribed values, so the
     deviation there is exactly zero (the envelope is replaced by 1 for
     those nodes, the numerator being identically zero). Passing means the
-    maximum ratio does not exceed the theoretical constant.
+    maximum ratio, the report's ``c_empirical``, does not exceed the
+    theoretical constant.
 
     The forced solves are of ``problem`` itself on the base solution's grid,
     the only grid of the comparison; a forcing at node 0 is the
@@ -203,8 +204,7 @@ def verify_uhml(
     solved first, on the grid the config describes; for another grid,
     pass ``base=solve(problem, config, grid=grid)``.
     """
-    single = isinstance(perts, Perturbation)
-    perts = [perts] if single else list(perts)
+    perts = list(perts)
     if not perts:
         return []
     if base is None:
@@ -222,22 +222,18 @@ def verify_uhml(
         deviation = u.unweight(np.abs(v.weighted_values - u.weighted_values))
         ratio_interior = deviation / (pert.epsilon * envelope[1:])
         ratio_history = np.abs(v.history_values - u.history_values) / pert.epsilon
-        profile = np.concatenate((ratio_history, ratio_interior))
-        c_emp = float(np.max(profile))
         reports.append(StabilityReport(
             shape=pert.shape,
             epsilon=pert.epsilon,
             c_theoretical=c_theory,
-            c_empirical=c_emp,
-            passed=bool(c_emp <= c_theory),
             kappa_used=kappa,
             a_used=a_const,
             profile_times=np.concatenate((grid.history_nodes, grid.nodes[1:])),
-            ratio_profile=profile,
+            ratio_profile=np.concatenate((ratio_history, ratio_interior)),
             envelope_caveat=bool(x_b < 1.0),
             converged=bool(base.converged and perturbed.converged),
         ))
-    return reports[0] if single else reports
+    return reports
 
 
 def pachpatte_envelope(

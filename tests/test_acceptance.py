@@ -185,9 +185,9 @@ def test_criterion_06_uhml_verification():
     c_theory = None
     for shape in ("constant", "sinusoid", "square_wave"):
         for eps in (1e-2, 1e-3, 1e-4):
-            report = verify_uhml(
+            [report] = verify_uhml(
                 problem,
-                Perturbation(epsilon=eps, shape=shape),
+                [Perturbation(epsilon=eps, shape=shape)],
                 config,
                 base=base,
             )

@@ -257,6 +257,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config(path)
 
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        # no interpolation: a directory with a % is created and written, as key or as flag
+        key_dir, flag_dir = tmp_path / "key%1", tmp_path / "flag%(x)s"
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(key_dir), fmt="csv", seed=0)
+        assert main(["check", "--config", path]) == 0
+        assert main(["check", "--config", path, "--out", str(flag_dir)]) == 0
+        assert (key_dir / "hypotheses.csv").is_file() and (flag_dir / "hypotheses.csv").is_file()
+
     def test_delay_validation_happens_at_parse(self, tmp_path):
         bad = WORKED_CONFIG.replace("g_lag = 0.5", "g_lag = 3.0")
         path = write_config(tmp_path, bad, out="o", fmt="csv", seed=0)
@@ -409,10 +417,15 @@ class TestCmdCheck:
          "[stability] frequency must be finite, got nan"),
         ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2\nfrequency = inf",
          "[stability] frequency must be finite, got inf"),
+        ("g_lag = 0.5", "g_lag = nan",
+         "g must be finite: form 'constant_lag' parameter 'lag' is nan"),
+        ("f_c1 = 0.05", "f_c1 = inf", "f must be finite: form 'linear' parameter 'c1' is inf"),
+        ("h_d1 = 0.1", "h_d1 = nan", "h must be finite: form 'linear' parameter 'd1' is nan"),
     ], ids=["format", "grid_size", "history_size", "no_shapes", "bad_epsilon", "modes",
             "no_problem", "psi_rho", "g_lag", "r", "phi_intercept", "uniform_in", "seed",
             "tol_inf", "bielecki_delta_nan", "u0_nan", "u0_inf", "b_inf", "r_inf", "lip_f_inf",
-            "lip_f_nan", "lip_h_nan", "epsilon_inf", "frequency_nan", "frequency_inf"])
+            "lip_f_nan", "lip_h_nan", "epsilon_inf", "frequency_nan", "frequency_inf",
+            "g_lag_nan", "f_c1_inf", "h_d1_nan"])
     def test_invalid_input_exits_one(self, tmp_path, capsys, old, new, message):
         assert old in WORKED_CONFIG
         bad = WORKED_CONFIG.replace(old, new)
@@ -427,9 +440,14 @@ class TestCmdCheck:
         ("solve", ["--tol", "inf"], "[solve] tol must be positive and finite, got inf"),
         ("check", ["--seed", "-1"], "[output] seed must be >= 0, got -1"),
         ("stability", ["--seed", "-2"], "[output] seed must be >= 0, got -2"),
-    ], ids=["grid", "tol_zero", "tol_inf", "seed_check", "seed_stability"])
+        ("check", ["--format", "xml"], "[output] format must be csv or json, got 'xml'"),
+        ("solve", ["--grid", "abc"], "[solve] grid_size: expected an integer, got 'abc'"),
+        ("stability", ["--tol", "x"], "[solve] tol: expected a number, got 'x'"),
+        ("check", ["--seed", "1.5"], "[output] seed: expected an integer, got '1.5'"),
+    ], ids=["grid", "tol_zero", "tol_inf", "seed_check", "seed_stability", "format_text",
+            "grid_text", "tol_text", "seed_text"])
     def test_invalid_flag_exits_one(self, tmp_path, capsys, command, flags, message):
-        # a flag is checked and reported like the key it overrides, before anything runs
+        # a flag's text is read and checked like the key it overrides, before anything runs
         config = WORKED_CONFIG.replace("constant, sinusoid", "smooth_random, sinusoid")
         out = tmp_path / "o"
         path = write_config(tmp_path, config, out=str(out), fmt="csv", seed=0)
@@ -649,7 +667,7 @@ def assert_files_match_a_per_value_formatter(tmp_path, stem, config, grid, profi
     solution = (out / "solution.csv").read_bytes()
     assert solution == ("\n".join(lines) + "\n").encode()
     for pert in (cfg.perturbations[0], cfg.perturbations[-1])[:profiles]:
-        report = verify_uhml(cfg.problem, pert, cfg.solve, base=result)
+        [report] = verify_uhml(cfg.problem, [pert], cfg.solve, base=result)
         lines = ["t,ratio"] + [f"{t:.17g},{r:.17g}"
                                for t, r in zip(report.profile_times, report.ratio_profile)]
         name = f"ratio_profile_{pert.shape}_{pert.epsilon:g}.csv"

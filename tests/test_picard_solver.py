@@ -24,6 +24,9 @@ from hilferlab.picard_solver import _Workspace, grid_for
 from conftest import make_linear_problem, ml_series
 
 
+COARSE = SolveConfig(inner_quad_nodes=32)  # 32 Volterra panels for eval_F
+
+
 def constant_state_problem(c3_only=False):
     """f picks one argument; convenient for eval_F projections."""
     selector = {"c3": 1.0} if c3_only else {"c1": 1.0}
@@ -60,12 +63,12 @@ class TestEvalF:
     def test_inner_integral_of_nothing(self):
         problem = constant_state_problem(c3_only=True)  # f returns the inner integral
         grid, traj = flat_trajectory(problem)
-        assert eval_F(problem, traj, 0.5, 32) == 0.0
+        assert eval_F(problem, traj, 0.5, COARSE) == 0.0
 
     def test_projection_of_state(self):
         problem = constant_state_problem()
         grid, traj = flat_trajectory(problem, value=4.0)
-        assert eval_F(problem, traj, 0.5, 32) == pytest.approx(4.0, rel=1e-12)
+        assert eval_F(problem, traj, 0.5, COARSE) == pytest.approx(4.0, rel=1e-12)
 
     def test_constant_kernel_measures_length(self):
         base = constant_state_problem(c3_only=True)
@@ -75,20 +78,13 @@ class TestEvalF:
             g=base.g, phi=base.phi, u0=4.0, b=1.0, r=0.5, lip_f=1.0, lip_h=0.0,
         )
         grid, traj = flat_trajectory(problem)
-        assert eval_F(problem, traj, 0.5, 64) == pytest.approx(0.5, rel=1e-12)
+        assert eval_F(problem, traj, 0.5, SolveConfig()) == pytest.approx(0.5, rel=1e-12)
 
     def test_requires_positive_time(self):
         problem = constant_state_problem()
         grid, traj = flat_trajectory(problem)
         with pytest.raises(ValueError):
-            eval_F(problem, traj, 0.0, 32)
-
-    @pytest.mark.parametrize("nodes", [0, 1])
-    def test_requires_two_inner_nodes(self, nodes):
-        problem = constant_state_problem()
-        grid, traj = flat_trajectory(problem)
-        with pytest.raises(ValueError, match="inner_quad_nodes must be >= 2"):
-            eval_F(problem, traj, 0.5, nodes)
+            eval_F(problem, traj, 0.0, COARSE)
 
     def test_delay_below_history_window(self):
         base = constant_state_problem()
@@ -99,7 +95,7 @@ class TestEvalF:
         )
         grid, traj = flat_trajectory(problem)
         with pytest.raises(DelayRangeError):
-            eval_F(problem, traj, 0.05, 32)
+            eval_F(problem, traj, 0.05, COARSE)
 
 
 def _inner_integral_per_node(h_kernel, s, u_of, g, subdivisions):
@@ -163,7 +159,8 @@ class TestBatchedVolterra:
         assert np.array_equal(samples[1:], expected)
 
         i = 137
-        assert eval_F(problem, traj, t_int[i], 64) == pytest.approx(samples[i + 1], rel=1e-13)
+        assert eval_F(problem, traj, t_int[i], SolveConfig()) == pytest.approx(
+            samples[i + 1], rel=1e-13)
 
         # unhinted, the node-0 sample is F(0) = f(0, u(0+), u(g(0)), 0) with u(0+) = w0
         # when gamma = 1 and 0 when u0 = 0; hinted, the quadrature discards it

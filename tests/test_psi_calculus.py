@@ -436,47 +436,41 @@ class TestHilferDerivative:
         assert sup_rel(got[1:], ref[1:]) <= 5e-2
 
 
-def make_traj(identity_psi, weighted, gamma=1.0, hist=None):
+def make_traj(identity_psi, weighted):
     grid = make_grid(identity_psi, 1.0, len(weighted), 0.5, history_size=4)
-    hist_vals = np.zeros_like(grid.history_nodes) if hist is None else hist
     return Trajectory(
         grid=grid,
         weighted_values=np.asarray(weighted, dtype=float),
         initial_weight=0.0,
-        history_values=hist_vals,
-        gamma=gamma,
+        history_values=np.zeros_like(grid.history_nodes),
+        gamma=1.0,
     )
 
 
 class TestNorms:
     def test_weighted_norm_examples(self, identity_psi):
-        assert weighted_norm(1.0, make_traj(identity_psi, [0.0, 0.0, 0.0])) == 0.0
+        assert weighted_norm(make_traj(identity_psi, [0.0, 0.0, 0.0])) == 0.0
         traj = make_traj(identity_psi, [1.0, -2.0, 1.5])
-        assert weighted_norm(1.0, traj) == 2.0
+        assert weighted_norm(traj) == 2.0
 
     def test_gamma_one_is_sup_norm_of_u(self, identity_psi):
         traj = make_traj(identity_psi, [0.3, -0.9, 0.7])
         vals = trajectory_values(traj, identity_psi, traj.grid.nodes[1:])
-        assert weighted_norm(1.0, traj) == np.max(np.abs(vals))
-
-    def test_gamma_mismatch(self, identity_psi):
-        traj = make_traj(identity_psi, [1.0, 1.0, 1.0], gamma=0.75)
-        with pytest.raises(ValueError):
-            weighted_norm(1.0, traj)
+        assert weighted_norm(traj) == np.max(np.abs(vals))
 
     def test_bielecki_at_zero_delta(self, identity_psi):
         traj = make_traj(identity_psi, [1.0, -2.0, 1.5])
-        assert bielecki_norm(1.0, 0.0, traj) == weighted_norm(1.0, traj)
+        assert bielecki_norm(0.0, traj) == weighted_norm(traj)
 
     def test_bielecki_decreasing_envelope(self, identity_psi):
         traj = make_traj(identity_psi, [1.0, 1.0, 1.0])
         object.__setattr__(traj, "initial_weight", 1.0)
-        assert bielecki_norm(1.0, 1.0, traj) == pytest.approx(1.0, abs=0.0)
+        assert bielecki_norm(1.0, traj) == pytest.approx(1.0, abs=0.0)
 
     def test_bielecki_rejects_negative_delta(self, identity_psi):
         traj = make_traj(identity_psi, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            bielecki_norm(1.0, -0.5, traj)
+            bielecki_norm(-0.5, traj)
 
     @given(
         scale_exp=st.integers(min_value=-8, max_value=8),
@@ -498,12 +492,10 @@ class TestNorms:
         c = sign * 2.0**scale_exp  # dyadic scalars make homogeneity exact
         a = make_traj(psi, values)
         ca = make_traj(psi, [c * v for v in values])
-        assert weighted_norm(1.0, ca) == abs(c) * weighted_norm(1.0, a)
+        assert weighted_norm(ca) == abs(c) * weighted_norm(a)
         b = make_traj(psi, other)
         ab = make_traj(psi, [v + w for v, w in zip(values, other)])
-        assert weighted_norm(1.0, ab) <= (
-            weighted_norm(1.0, a) + weighted_norm(1.0, b)
-        )
+        assert weighted_norm(ab) <= weighted_norm(a) + weighted_norm(b)
 
 
 class TestTrajectoryEvaluation:
@@ -631,9 +623,7 @@ _CUBIC_PSI = PsiFunction(fn=lambda t: np.asarray(t, dtype=float) ** 3,
     pytest.param(lambda psi, problem: frac_integral_grid(
                      0.5, psi, np.zeros(4), _trajectory(psi).grid, origin_exponent=2.5),
                  r"origin_exponent must lie in \(0, 2\)", id="origin-exponent"),
-    pytest.param(lambda psi, problem: bielecki_norm(0.5, 0.0, _trajectory(psi)),
-                 "trajectory carries gamma=1.0", id="bielecki-gamma"),
-    pytest.param(lambda psi, problem: eval_F(problem, _trajectory(psi), 1.5, 32),
+    pytest.param(lambda psi, problem: eval_F(problem, _trajectory(psi), 1.5, SolveConfig()),
                  "beyond the trajectory horizon", id="eval-F-horizon"),
     pytest.param(lambda psi, problem: picard_step(problem, _trajectory(psi, gamma=0.5),
                                                   SolveConfig()),

@@ -154,8 +154,8 @@ class TestVerifyUhml:
     )
     def test_worked_problem_passes(self, worked_problem, shape):
         config = SolveConfig(grid_size=400)
-        report = verify_uhml(
-            worked_problem, Perturbation(epsilon=1e-2, shape=shape, seed=2), config
+        [report] = verify_uhml(
+            worked_problem, [Perturbation(epsilon=1e-2, shape=shape, seed=2)], config
         )
         assert report.converged
         assert report.passed
@@ -168,8 +168,8 @@ class TestVerifyUhml:
 
     def test_history_ratios_exactly_zero(self, worked_problem):
         config = SolveConfig(grid_size=200)
-        report = verify_uhml(
-            worked_problem, Perturbation(epsilon=1e-3, shape="square_wave"), config
+        [report] = verify_uhml(
+            worked_problem, [Perturbation(epsilon=1e-3, shape="square_wave")], config
         )
         n_hist = report.profile_times[report.profile_times <= 0.0].size
         assert np.all(report.ratio_profile[:n_hist] == 0.0)
@@ -180,7 +180,7 @@ class TestVerifyUhml:
         grid = make_grid(worked_problem.psi, 1.0, 149, 0.5)
         base = solve(worked_problem, config, grid=grid)
         pert = Perturbation(epsilon=1e-2, shape="sinusoid")
-        report = verify_uhml(worked_problem, pert, config, base=base)
+        [report] = verify_uhml(worked_problem, [pert], config, base=base)
         assert report.passed
         times = np.concatenate((grid.history_nodes, grid.nodes[1:]))
         assert np.array_equal(report.profile_times, times)
@@ -195,8 +195,8 @@ class TestVerifyUhml:
             phi=catalog.make_phi("constant", value=1.0),
             u0=1.0, b=0.5, r=0.25, lip_f=0.05,
         )
-        report = verify_uhml(
-            problem, Perturbation(epsilon=1e-2, shape="constant"), SolveConfig(grid_size=100)
+        [report] = verify_uhml(
+            problem, [Perturbation(epsilon=1e-2, shape="constant")], SolveConfig(grid_size=100)
         )
         assert report.envelope_caveat  # psi(b)-psi(0) < 1
 
@@ -260,7 +260,7 @@ class TestStackedRun:
                                       alone.trajectory.weighted_values)
             reports = verify_uhml(problem, STACK_PERTURBATIONS, cfg, base=base)
             for pert, report in zip(STACK_PERTURBATIONS, reports, strict=True):
-                alone = verify_uhml(problem, pert, cfg, base=base)
+                [alone] = verify_uhml(problem, [pert], cfg, base=base)
                 assert np.array_equal(report.ratio_profile, alone.ratio_profile)
                 assert report.c_empirical == alone.c_empirical
                 assert report.converged == alone.converged
@@ -442,7 +442,7 @@ class TestForcing:
         problem = replace(worked_problem, f=counted)
         config = SolveConfig(grid_size=200)
         pert = Perturbation(epsilon=1e-2, shape="sinusoid")
-        verify_uhml(problem, pert, config)
+        verify_uhml(problem, [pert], config)
         seen = len(calls)
         base = solve(problem, config)
         grid = base.trajectory.grid
