@@ -30,6 +30,7 @@ from .psi_calculus import (
     hilfer_derivative_grid,
     make_grid,
     power_rule_reference,
+    trajectory_values,
 )
 from .stability_lab import verify_uhml
 
@@ -325,8 +326,9 @@ def cmd_solve(args) -> int:
     t = np.concatenate((grid.history_nodes, grid.nodes[1:]))
     psi_t = cfg.problem.psi.fn(t)
     h, its = grid.history_nodes.size, result.iterations
+    history = trajectory_values(traj, cfg.problem.psi, grid.history_nodes)  # phi at those times
     blocks = [  # the history rows, whose weighted_u is empty, then the interior rows
-        [t[:h], psi_t[:h], None, traj.history_values, its],
+        [t[:h], psi_t[:h], None, history, its],
         [t[h:], psi_t[h:], traj.weighted_values, traj.unweight(traj.weighted_values), its],
     ]
     header = ["t", "psi_t", "weighted_u", "u", "residual_iter_count"]

@@ -15,8 +15,10 @@ once, on :class:`SolveConfig`, :class:`Perturbation` or
 :class:`ExperimentConfig`. Values are literal text: a ``%`` is not
 interpolated. Command-line flags are key texts that replace the file's
 ``[solve]`` and ``[output]`` keys before any key is read, so a flag goes
-through its key's reader and checks. Parse or validation failures raise
-:class:`ConfigError` with a section/key diagnostic.
+through its key's reader and checks. A flag's text is stripped of
+surrounding whitespace, as a file value is; a ``;`` in it is kept. Parse
+or validation failures raise :class:`ConfigError` with a section/key
+diagnostic.
 """
 
 from __future__ import annotations
@@ -81,10 +83,8 @@ _SOLVE_KEYS = {
     "inner_quad_nodes": ("inner_quad_nodes", _int),
     "tol": ("tol", _float),
     "max_iter": ("max_iter", _int),
-    "norm": ("norm_kind", _text),
     "bielecki_delta": ("bielecki_delta", _float),
     "uniform_in": ("grid_uniform_in", _text),
-    "history_size": ("history_size", _int),
 }
 _STABILITY_KEYS = {"frequency": ("frequency", _float), "modes": ("modes", _int)}
 _STABILITY_LISTS = frozenset({"shapes", "epsilons"})
@@ -192,12 +192,13 @@ def parse_config(
     """Read and validate a config file.
 
     ``overrides`` maps a section to key texts that replace the file's (the
-    section is added if the file lacks it); they are read like the file's.
+    section is added if the file lacks it); stripped, they are read like the file's.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    parser.read_dict(overrides or {})
+    parser.read_dict({name: {key: text.strip() for key, text in keys.items()}
+                      for name, keys in (overrides or {}).items()})
     known = {"problem", "solve", "stability", "output"}
     extra = sorted(set(parser.sections()) - known)
     if extra:

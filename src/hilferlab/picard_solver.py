@@ -7,20 +7,22 @@ The differential problem is solved through its integral form
     F_u(s) = f(s, u(s), u(g(s)), int_0^s h(s,tau,u(tau),u(g(tau))) dtau),
 
 iterated from the homogeneous term until successive iterates stop moving
-in the weighted (or damped Bielecki) sup-norm. Each sweep samples F_u at
-all grid nodes, t = 0 included, in one batch with one call of f, takes
-the Volterra term of every node from one batched trapezoidal rule, and
-applies the product-integration operator from
+in the weighted sup-norm. Each sweep samples F_u at all grid nodes, t = 0
+included, in one batch with one call of f, takes the Volterra term of
+every node from one batched trapezoidal rule, and applies the
+product-integration operator from
 :mod:`hilferlab.psi_calculus`; the homogeneous term is added in weighted
 form, where its origin singularity cancels exactly. :func:`eval_F`
 evaluates the same F_u at a single time.
 
 A solve splits its work into what the iterate does not change and what
-it does. The workspace fixes, once per solve: the history values, the
-probe stage (:func:`hilferlab.psi_calculus.probe`) of every time at which
-F reads u, that is g(t_0..t_N) and, with a Volterra kernel, the
-(N+1, M+1) quadrature times and their delays, and the powers x^(1-gamma)
-and x^(gamma-1) of the nodes. A sweep recomputes only what
+it does. The workspace fixes, once per solve: the probe stage
+(:func:`hilferlab.psi_calculus.probe`) of every time at which F reads u,
+that is g(t_0..t_N) and, with a Volterra kernel, the (N+1, M+1)
+quadrature times and their delays, and the powers x^(1-gamma) and
+x^(gamma-1) of the nodes. Where one of those times is <= 0, the probe
+reads u = phi there exactly, by one call of the problem's phi, so the
+history carries no sampling error. A sweep recomputes only what
 depends on the iterate: u at the probed times (one interpolation and one
 multiply each), f and h, the fractional integral (whose kernel spectra
 and starting weights are memoized on the grid), and the new node values.
@@ -72,10 +74,8 @@ class SolveConfig:
     inner_quad_nodes: int = 64
     tol: float = 1e-10
     max_iter: int = 200
-    norm_kind: str = "weighted"
-    bielecki_delta: float = 0.0
+    bielecki_delta: float = 0.0  # the delta of check's Bielecki bound; a solve ignores it
     grid_uniform_in: str = "psi"
-    history_size: int = 128
 
     def __post_init__(self) -> None:
         if self.grid_size < 2:
@@ -88,18 +88,12 @@ class SolveConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.norm_kind not in ("weighted", "bielecki"):
-            raise ValueError(
-                f"norm_kind must be 'weighted' or 'bielecki', got {self.norm_kind!r}"
-            )
         if self.grid_uniform_in not in ("psi", "t"):
             raise ValueError(f"grid_uniform_in must be 'psi' or 't', got {self.grid_uniform_in!r}")
         if not 0.0 <= self.bielecki_delta < math.inf:
             raise ValueError(
                 f"bielecki_delta must be >= 0 and finite, got {self.bielecki_delta!r}"
             )
-        if self.history_size < 1:
-            raise ValueError(f"history_size must be >= 1, got {self.history_size!r}")
 
 
 @dataclass
@@ -190,32 +184,25 @@ def _rhs(
 class _Workspace:
     """Everything of one solve that the iterate does not change (see the module docstring).
 
-    ``history`` defaults to phi at the history nodes. A sweep maps the
-    node values ``[w0, w_1..w_N]`` of one iterate to the next, sampling F
-    at every node, t = 0 included, in one batch. u at node 0 is u(0+):
-    w0 when gamma = 1, else 0, which is exact when u0 = 0; with u0 != 0
-    the origin hint makes the quadrature discard that sample.
+    A sweep maps the node values ``[w0, w_1..w_N]`` of one iterate to the
+    next, sampling F at every node, t = 0 included, in one batch. u at
+    node 0 is u(0+): w0 when gamma = 1, else 0, which is exact when
+    u0 = 0; with u0 != 0 the origin hint makes the quadrature discard that
+    sample.
     """
 
-    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int,
-                 history: Optional[np.ndarray] = None):
+    def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
         self.problem = problem
         self.grid = grid
         gamma = problem.order.gamma
         self.weight = grid.x ** (1.0 - gamma)
         self.unweight = np.concatenate(([float(gamma == 1.0)], grid.x[1:] ** (gamma - 1.0)))
-        if history is None:
-            history = np.broadcast_to(
-                np.asarray(problem.phi(grid.history_nodes), dtype=float),
-                grid.history_nodes.shape,
-            ).astype(float)
-        self.history = history
         self.w_init = problem.u0 / gamma_fn(gamma)
         # The right-hand side inherits the solution's x^(gamma-1) blow-up only
         # through the homogeneous term; with u0 = 0 (or gamma = 1) F is regular
         # at the origin, u(0+) is finite, and the node-0 sample is real data.
         self.origin_hint = None if (gamma == 1.0 or problem.u0 == 0.0) else gamma
-        probe_at = partial(probe, grid, problem.psi, gamma, history)
+        probe_at = partial(probe, grid, problem.psi, gamma, problem.phi)
         self.rhs = _rhs(problem, probe_at, grid.nodes, subdivisions)
 
     def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
@@ -244,21 +231,21 @@ def eval_F(problem: DelayFFIDE, traj: Trajectory, s: float, config: SolveConfig)
         raise ValueError(f"eval_F requires s > 0, got {s!r}")
     if s > traj.grid.horizon + 1e-12:
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
-    probe_at = partial(probe, traj.grid, problem.psi, traj.gamma, traj.history_values)
+    probe_at = partial(probe, traj.grid, problem.psi, traj.gamma, traj.phi)
     rhs = _rhs(problem, probe_at, np.array([s]), config.inner_quad_nodes)
     return float(rhs(traj.node_values(), trajectory_values(traj, problem.psi, s))[0])
 
 
 def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> Trajectory:
-    """Apply the fixed-point map once: history is kept, interior is remapped."""
+    """Apply the fixed-point map once: the interior is remapped, the history is problem.phi."""
     if traj.gamma != problem.order.gamma:
         raise ValueError(
             f"trajectory gamma {traj.gamma!r} does not match problem gamma "
             f"{problem.order.gamma!r}"
         )
-    ws = _Workspace(problem, traj.grid, config.inner_quad_nodes, traj.history_values)
+    ws = _Workspace(problem, traj.grid, config.inner_quad_nodes)
     w_next = ws.sweep(traj.node_values())
-    return replace(traj, weighted_values=w_next[1:], initial_weight=ws.w_init)
+    return replace(traj, weighted_values=w_next[1:], initial_weight=ws.w_init, phi=problem.phi)
 
 
 def certify_contraction(problem: DelayFFIDE) -> tuple[float, Optional[str]]:
@@ -278,7 +265,6 @@ def grid_for(problem: DelayFFIDE, config: SolveConfig) -> Grid:
         problem.b,
         config.grid_size,
         problem.r,
-        history_size=config.history_size,
         uniform_in=config.grid_uniform_in,
     )
 
@@ -295,7 +281,7 @@ def solve(
     ``forcing``, samples z at ``grid.nodes`` (shape (N+1,)), is added to
     F's samples in every sweep: the solve is then of D u = F(u) + z.
 
-    Stops when the chosen norm of successive weighted differences falls
+    Stops when the sup-norm of successive weighted differences falls
     to ``config.tol`` or ``config.max_iter`` sweeps have run. Failure to
     converge is reported in the result; non-finite iterates raise
     :class:`DivergenceError`. This is the one-row case of
@@ -342,10 +328,6 @@ def _solve_rows(
             f"forcing has shape {forcing.shape[1:]} per row, the nodes {grid.nodes.shape}")
     theta, certificate = checks
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
-
-    damping = None
-    if config.norm_kind == "bielecki":
-        damping = np.exp(-config.bielecki_delta * grid.x[1:])
     n_rows = 1 if forcing is None else forcing.shape[0]
     w = np.full((n_rows, grid.nodes.size), ws.w_init)
     final = np.empty_like(w)
@@ -357,8 +339,7 @@ def _solve_rows(
         w_next = ws.sweep(w, forcing)
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError("fixed-point iterate left float64 range")
-        change = np.abs(w_next[:, 1:] - w[:, 1:])
-        res = np.max(change if damping is None else damping * change, axis=1)
+        res = np.max(np.abs(w_next[:, 1:] - w[:, 1:]), axis=1)
         for row, value in zip(active.tolist(), res.tolist()):
             residuals[row].append(value)
         w = w_next
@@ -377,7 +358,7 @@ def _solve_rows(
             grid=grid,
             weighted_values=values[1:],
             initial_weight=ws.w_init,
-            history_values=ws.history,
+            phi=problem.phi,
             gamma=problem.order.gamma,
         )
         results.append(SolveResult(

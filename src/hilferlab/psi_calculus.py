@@ -22,8 +22,10 @@ first samples make it exact on ``x^(rho-1+e)``, e in {0, alpha, 2 alpha}
 
 Evaluating a trajectory at fixed times has two stages: :func:`probe` does
 the work that depends on the times alone, once, and returns the apply
-stage, which maps the node values of w to u(t). A Picard solve probes its
-times once and applies every sweep.
+stage, which maps the node values of w to u(t). At times t <= 0, u is the
+prescribed history phi itself, called once in the probe stage; no samples
+of it are kept. A Picard solve probes its times once and applies every
+sweep.
 
 Every function here is deterministic and safe to call concurrently. The
 one piece of state is a cache of quadrature weights on each
@@ -106,7 +108,7 @@ class PsiFunction:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Solution grid on [0, b] with its psi coordinates, plus a history grid on [-r, 0].
+    """Solution grid on [0, b] with its psi coordinates, plus history output times on [-r, 0].
 
     ``nodes`` must start at exactly 0 and increase strictly. ``x`` holds
     ``psi(t) - psi(0)`` at the nodes, so it has one entry per node, starts
@@ -170,14 +172,14 @@ def make_grid(
     b: float,
     n: int,
     r: float,
-    history_size: int = 128,
     uniform_in: str = "psi",
 ) -> Grid:
     """Build the default grid: uniform in x = psi(t)-psi(0), or in t.
 
     Uniform-in-psi spacing is the default because it makes the product
     quadrature translation invariant (a fast convolution) and clusters
-    nodes where psi grows slowly.
+    nodes where psi grows slowly. The history nodes are 128 equal
+    intervals on [-r, 0]; they only sample u = phi for output.
     """
     if uniform_in not in ("psi", "t"):
         raise GridError(f"uniform_in must be 'psi' or 't', got {uniform_in!r}")
@@ -188,7 +190,7 @@ def make_grid(
         x = np.linspace(0.0, float(psi.shifted(b)), n + 1)
         t = np.asarray(psi.invert_shifted(x, bracket=(0.0, b)), dtype=float)
         t[0], t[-1] = 0.0, b  # pin endpoints against inversion roundoff
-    hist = np.linspace(-r, 0.0, history_size + 1)  # its last node is exactly 0
+    hist = np.linspace(-r, 0.0, 129)  # its last node is exactly 0
     return Grid(nodes=t, history_nodes=hist, x=x)
 
 
@@ -199,35 +201,30 @@ class Trajectory:
     ``weighted_values[i]`` holds ``w(t_{i+1}) = x(t_{i+1})^(1-gamma) u(t_{i+1})``
     at the interior nodes ``t_1..t_N``; ``initial_weight`` is the finite
     ``t -> 0+`` limit of w (the raw u may blow up like ``x^(gamma-1)``).
-    ``history_values`` samples u itself on the history nodes; its last
-    entry need not match the t -> 0+ limit of u, since the problem class
-    imposes a weighted initial condition rather than continuity at 0.
+    ``phi`` is the prescribed history, u itself on [-r, 0]; phi(0) need
+    not match the t -> 0+ limit of u, since the problem class imposes a
+    weighted initial condition rather than continuity at 0.
     """
 
     grid: Grid
     weighted_values: np.ndarray
     initial_weight: float
-    history_values: np.ndarray
+    phi: Callable[[np.ndarray], np.ndarray]
     gamma: float
 
     def __post_init__(self) -> None:
         self.weighted_values = np.asarray(self.weighted_values, dtype=float)
-        self.history_values = np.asarray(self.history_values, dtype=float)
         if self.weighted_values.shape != (self.grid.n_intervals,):
             raise ValueError(
                 f"weighted_values must have one entry per interior node "
                 f"({self.grid.n_intervals}), got shape {self.weighted_values.shape}"
             )
-        if self.history_values.shape != self.grid.history_nodes.shape:
-            raise ValueError("history_values must match history_nodes in length")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not np.isfinite(self.initial_weight):
             raise ValueError("initial_weight must be finite")
         if not np.all(np.isfinite(self.weighted_values)):
             raise ValueError("weighted_values must be finite")
-        if not np.all(np.isfinite(self.history_values)):
-            raise ValueError("history_values must be finite")
 
     def unweight(self, weighted: np.ndarray) -> np.ndarray:
         """Raw values ``weighted * x^(gamma-1)`` of weighted data at the interior nodes."""
@@ -239,11 +236,11 @@ class Trajectory:
 
 
 def probe(
-    grid: Grid, psi: PsiFunction, gamma: float, history_values: np.ndarray, times
+    grid: Grid, psi: PsiFunction, gamma: float, phi: Callable, times
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The probe stage of evaluating u at fixed ``times``; returns the apply stage.
 
-    For t <= 0 the history values are interpolated linearly in t, here.
+    For t <= 0, u is the history: phi is called on those times, here.
     For t > 0 this computes x = psi(t) - psi(0) and x^(gamma-1). The
     returned function takes the node values ``[w0, w_1..w_N]`` of the
     weighted solution, interpolates them linearly in x and unweights by
@@ -257,7 +254,7 @@ def probe(
     if np.any(times < lo - 1e-12 * max(1.0, abs(lo))):
         raise DelayRangeError(f"time {times.min()} below the covered history window [{lo}, 0]")
     past = times <= 0.0
-    known = np.interp(times[past], grid.history_nodes, history_values)
+    known = np.broadcast_to(np.asarray(phi(times[past]), dtype=float), np.count_nonzero(past))
     future = ~past
     xq = np.asarray(psi.shifted(times[future]), dtype=float)
     scale = xq ** (gamma - 1.0)
@@ -276,7 +273,7 @@ def probe(
 def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
     """Evaluate u(t) anywhere on [-r, b] (see :func:`probe`)."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    out = probe(traj.grid, psi, traj.gamma, traj.history_values, times)(traj.node_values())
+    out = probe(traj.grid, psi, traj.gamma, traj.phi, times)(traj.node_values())
     return out if np.ndim(t) else out[0]
 
 

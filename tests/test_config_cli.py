@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -25,7 +26,9 @@ from hilferlab import (
     verify_uhml,
 )
 from hilferlab.cli import _csv_rows, _g17, _parser, _tokens, _write, build_parser, main
-from hilferlab.config import ExperimentConfig, parse_config
+from hilferlab.config import (
+    _OUTPUT_KEYS, _SOLVE_KEYS, _STABILITY_KEYS, ExperimentConfig, parse_config,
+)
 
 from conftest import ml_series
 from test_acceptance import STABILITY_CONFIG
@@ -182,6 +185,12 @@ def write_config(tmp_path, text, name="config.ini", **kwargs):
     return str(path)
 
 
+def readme_ini():
+    """The text of the README's config block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -280,10 +289,8 @@ grid_size = 50
 inner_quad_nodes = 20
 tol = 1e-8
 max_iter = 31
-norm = bielecki
 bielecki_delta = 0.25
 uniform_in = t
-history_size = 17
 
 [stability]
 shapes = sinusoid
@@ -302,8 +309,8 @@ class TestSectionKeyTables:
     def test_every_key_reaches_its_field(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, EVERY_SECTION_KEY))
         assert cfg.solve == SolveConfig(
-            grid_size=50, inner_quad_nodes=20, tol=1e-8, max_iter=31, norm_kind="bielecki",
-            bielecki_delta=0.25, grid_uniform_in="t", history_size=17,
+            grid_size=50, inner_quad_nodes=20, tol=1e-8, max_iter=31,
+            bielecki_delta=0.25, grid_uniform_in="t",
         )
         assert all(getattr(cfg.solve, f.name) != f.default for f in fields(SolveConfig))
         expected = Perturbation(epsilon=1e-3, shape="sinusoid", frequency=3.5, seed=9, modes=6)
@@ -320,20 +327,25 @@ class TestSectionKeyTables:
         assert cfg.perturbations == [Perturbation(epsilon=1e-2, shape="constant")]
 
     def test_bad_integer_names_section_and_key(self, tmp_path):
-        text = EVERY_SECTION_KEY.replace("history_size = 17", "history_size = x")
-        with pytest.raises(ConfigError, match=r"^\[solve\] history_size: expected an integer"):
+        text = EVERY_SECTION_KEY.replace("max_iter = 31", "max_iter = x")
+        with pytest.raises(ConfigError, match=r"^\[solve\] max_iter: expected an integer"):
             parse_config(write_config(tmp_path, text))
 
     def test_readme_config_parses(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.ini"
-        path.write_text(text)
+        path.write_text(readme_ini())
         cfg = parse_config(str(path))
         assert cfg.solve == SolveConfig()
         assert len(cfg.perturbations) == 8
         assert all(p == Perturbation(epsilon=p.epsilon, shape=p.shape) for p in cfg.perturbations)
         assert (cfg.out_dir, cfg.out_format, cfg.seed) == ("out", "csv", 0)
+
+    def test_readme_config_lists_every_key(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+        parser.read_string(readme_ini())
+        assert set(parser["solve"]) == set(_SOLVE_KEYS)
+        assert set(parser["stability"]) == set(_STABILITY_KEYS) | {"shapes", "epsilons"}
+        assert set(parser["output"]) == set(_OUTPUT_KEYS)
 
 
 class TestCmdCheck:
@@ -385,7 +397,10 @@ class TestCmdCheck:
     @pytest.mark.parametrize("old, new, message", [
         ("format = {fmt}", "format = xml", "format must be csv or json"),
         ("grid_size = 200", "grid_size = 1", "grid_size must be >= 2"),
-        ("max_iter = 60", "max_iter = 60\nhistory_size = 0", "history_size must be >= 1"),
+        # retired keys: u on [-r, 0] is phi itself, and every solve stops in the weighted norm
+        ("max_iter = 60", "max_iter = 60\nhistory_size = 128",
+         "[solve] unknown key(s): ['history_size']"),
+        ("max_iter = 60", "max_iter = 60\nnorm = weighted", "[solve] unknown key(s): ['norm']"),
         ("shapes = constant, sinusoid, square_wave", "shapes =", "non-empty 'shapes'"),
         ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2, abc", "epsilons: bad number 'abc'"),
         ("epsilons = 1e-2, 1e-3", "epsilons = 1e-2\nmodes = 0", "modes must be >= 1"),
@@ -421,7 +436,7 @@ class TestCmdCheck:
          "g must be finite: form 'constant_lag' parameter 'lag' is nan"),
         ("f_c1 = 0.05", "f_c1 = inf", "f must be finite: form 'linear' parameter 'c1' is inf"),
         ("h_d1 = 0.1", "h_d1 = nan", "h must be finite: form 'linear' parameter 'd1' is nan"),
-    ], ids=["format", "grid_size", "history_size", "no_shapes", "bad_epsilon", "modes",
+    ], ids=["format", "grid_size", "history_size", "norm", "no_shapes", "bad_epsilon", "modes",
             "no_problem", "psi_rho", "g_lag", "r", "phi_intercept", "uniform_in", "seed",
             "tol_inf", "bielecki_delta_nan", "u0_nan", "u0_inf", "b_inf", "r_inf", "lip_f_inf",
             "lip_f_nan", "lip_h_nan", "epsilon_inf", "frequency_nan", "frequency_inf",
@@ -455,6 +470,16 @@ class TestCmdCheck:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
         assert not out.exists()
+
+    def test_flag_text_is_stripped_like_a_file_value(self, tmp_path):
+        path = write_config(tmp_path, WORKED_CONFIG, out="unused", fmt="csv", seed=0)
+        written = []
+        for i, (fmt, grid) in enumerate((("json", "100"), (" json", "\t100 "), ("json\n", " 100"))):
+            out = tmp_path / f"o{i}"
+            argv = ["solve", "--config", path, "--out", f" {out} ", "--format", fmt, "--grid", grid]
+            assert main(argv) == 0
+            written.append((out / "solution.json").read_bytes())
+        assert written[1:] == written[:1] * 2
 
 
 class TestCmdSolve:
@@ -659,7 +684,8 @@ def assert_files_match_a_per_value_formatter(tmp_path, stem, config, grid, profi
     traj, psi, its = result.trajectory, cfg.problem.psi, result.iterations
     grid = traj.grid
     lines = ["t,psi_t,weighted_u,u,residual_iter_count"]
-    for t, u in zip(grid.history_nodes, traj.history_values):
+    history = np.broadcast_to(cfg.problem.phi(grid.history_nodes), grid.history_nodes.shape)
+    for t, u in zip(grid.history_nodes, history):
         lines.append(f"{t:.17g},{psi.fn(t):.17g},,{u:.17g},{its}")
     u_int = traj.unweight(traj.weighted_values)
     for t, w, u in zip(grid.nodes[1:], traj.weighted_values, u_int):

@@ -437,12 +437,12 @@ class TestHilferDerivative:
 
 
 def make_traj(identity_psi, weighted):
-    grid = make_grid(identity_psi, 1.0, len(weighted), 0.5, history_size=4)
+    grid = make_grid(identity_psi, 1.0, len(weighted), 0.5)
     return Trajectory(
         grid=grid,
         weighted_values=np.asarray(weighted, dtype=float),
         initial_weight=0.0,
-        history_values=np.zeros_like(grid.history_nodes),
+        phi=np.zeros_like,
         gamma=1.0,
     )
 
@@ -500,26 +500,31 @@ class TestNorms:
 
 class TestTrajectoryEvaluation:
     def test_history_interpolation(self, identity_psi):
-        grid = make_grid(identity_psi, 1.0, 4, 1.0, history_size=2)
+        # on [-r, 0], u is phi itself: exact at and between the history nodes
+        grid = make_grid(identity_psi, 1.0, 4, 1.0)
         traj = Trajectory(
             grid=grid,
             weighted_values=np.ones(4),
             initial_weight=1.0,
-            history_values=np.array([2.0, 1.0, 0.0]),
+            phi=lambda t: -2.0 * t,
             gamma=1.0,
         )
         assert trajectory_values(traj, identity_psi, -1.0) == 2.0
-        assert trajectory_values(traj, identity_psi, -0.25) == pytest.approx(0.5)
+        assert trajectory_values(traj, identity_psi, -0.25) == 0.5
         assert trajectory_values(traj, identity_psi, 0.0) == 0.0
+        traj.phi = np.cos
+        between = 0.5 * (grid.history_nodes[1] + grid.history_nodes[2])
+        times = np.array([-1.0, -0.3, between, 0.0])
+        assert np.array_equal(trajectory_values(traj, identity_psi, times), np.cos(times))
 
     def test_weighted_unweighting(self, identity_psi):
-        grid = make_grid(identity_psi, 1.0, 4, 1.0, history_size=2)
+        grid = make_grid(identity_psi, 1.0, 4, 1.0)
         gamma = 0.5
         traj = Trajectory(
             grid=grid,
             weighted_values=np.full(4, 2.0),
             initial_weight=2.0,
-            history_values=np.zeros(3),
+            phi=np.zeros_like,
             gamma=gamma,
         )
         t = 0.25
@@ -532,10 +537,11 @@ class TestTrajectoryEvaluation:
     def test_probe_then_apply_is_trajectory_values(self, gamma, many):
         # one probe serves every iterate: for two sets of node values it gives
         # trajectory_values bit for bit, and that is the single-stage rule
-        # np.interp(x) * x^(gamma-1), for a flat set and for a 2-D batch with
-        # more times than nodes (the shape of the Volterra probes)
+        # np.interp(x) * x^(gamma-1) for t > 0 and phi(t) for t <= 0, for a flat
+        # set and for a 2-D batch with more times than nodes (the shape of the
+        # Volterra probes)
         psi = catalog.make_psi("exponential")
-        grid = make_grid(psi, 1.0, 40, 0.5, history_size=8)
+        grid = make_grid(psi, 1.0, 40, 0.5)
         nodes = grid.nodes
         step = 1 if many else 4
         times = np.concatenate((
@@ -544,14 +550,13 @@ class TestTrajectoryEvaluation:
         ))
         if many:
             times = np.tile(times, (3, 1))
-        hist = np.cos(grid.history_nodes)
-        apply = psi_calculus.probe(grid, psi, gamma, hist, times)
+        apply = psi_calculus.probe(grid, psi, gamma, np.cos, times)
         assert (np.count_nonzero(times > 0.0) > grid.x.size) == many
         for scale in (1.0, -3.5):
             w_nodes = scale * (1.0 + np.sin(3.0 * grid.x))
             w_nodes[7] = -0.0
             traj = Trajectory(grid=grid, weighted_values=w_nodes[1:], initial_weight=w_nodes[0],
-                              history_values=hist, gamma=gamma)
+                              phi=np.cos, gamma=gamma)
             got = apply(w_nodes)
             want = trajectory_values(traj, psi, times)
             assert got.shape == times.shape
@@ -560,38 +565,37 @@ class TestTrajectoryEvaluation:
             xq = psi.shifted(times[future])
             single = np.interp(xq, grid.x, w_nodes) * xq ** (gamma - 1.0)
             assert np.array_equal(got[future].view(np.int64), single.view(np.int64))
-            past = np.interp(times[~future], grid.history_nodes, hist)
-            assert np.array_equal(got[~future], past)
+            assert np.array_equal(got[~future], np.cos(times[~future]))
 
     def test_below_history_window(self, identity_psi):
-        grid = make_grid(identity_psi, 1.0, 4, 1.0, history_size=2)
+        grid = make_grid(identity_psi, 1.0, 4, 1.0)
         traj = Trajectory(
             grid=grid,
             weighted_values=np.ones(4),
             initial_weight=1.0,
-            history_values=np.zeros(3),
+            phi=np.zeros_like,
             gamma=1.0,
         )
         with pytest.raises(DelayRangeError):
             trajectory_values(traj, identity_psi, -1.5)
 
     def test_non_finite_rejected(self, identity_psi):
-        grid = make_grid(identity_psi, 1.0, 4, 1.0, history_size=2)
+        grid = make_grid(identity_psi, 1.0, 4, 1.0)
         with pytest.raises(ValueError):
             Trajectory(
                 grid=grid,
                 weighted_values=np.array([1.0, np.nan, 1.0, 1.0]),
                 initial_weight=1.0,
-                history_values=np.zeros(3),
+                phi=np.zeros_like,
                 gamma=1.0,
             )
 
 
 def _trajectory(psi, **changes):
     """A zero trajectory on a 3-interval identity grid, with some fields replaced."""
-    grid = make_grid(psi, 1.0, 3, 0.5, history_size=4)
+    grid = make_grid(psi, 1.0, 3, 0.5)
     fields = dict(grid=grid, weighted_values=np.zeros(3), initial_weight=0.0,
-                  history_values=np.zeros(5), gamma=1.0)
+                  phi=np.zeros_like, gamma=1.0)
     return Trajectory(**{**fields, **changes})
 
 
@@ -610,16 +614,12 @@ _CUBIC_PSI = PsiFunction(fn=lambda t: np.asarray(t, dtype=float) ** 3,
                  "uniform_in must be 'psi' or 't'", id="uniform-in-x"),
     pytest.param(lambda psi, problem: _trajectory(psi, weighted_values=np.zeros(2)),
                  "one entry per interior node", id="trajectory-short"),
-    pytest.param(lambda psi, problem: _trajectory(psi, history_values=np.zeros(4)),
-                 "history_values must match history_nodes", id="trajectory-history-short"),
     pytest.param(lambda psi, problem: _trajectory(psi, gamma=0.0),
                  "gamma must lie in", id="trajectory-gamma"),
     pytest.param(lambda psi, problem: _trajectory(psi, initial_weight=np.inf),
                  "initial_weight must be finite", id="trajectory-initial-weight"),
     pytest.param(lambda psi, problem: _trajectory(psi, weighted_values=np.full(3, np.nan)),
                  "weighted_values must be finite", id="trajectory-weighted-nan"),
-    pytest.param(lambda psi, problem: _trajectory(psi, history_values=np.full(5, np.inf)),
-                 "history_values must be finite", id="trajectory-history-inf"),
     pytest.param(lambda psi, problem: frac_integral_grid(
                      0.5, psi, np.zeros(4), _trajectory(psi).grid, origin_exponent=2.5),
                  r"origin_exponent must lie in \(0, 2\)", id="origin-exponent"),

@@ -19,6 +19,7 @@ from hilferlab import (
     pachpatte_envelope,
     solve,
     solve_perturbed,
+    trajectory_values,
     uhml_constant,
     verify_uhml,
 )
@@ -144,7 +145,8 @@ class TestSolvePerturbed:
         forced = solve_perturbed(
             worked_problem, Perturbation(epsilon=1e-2, shape="constant"), config, grid=grid
         )
-        assert np.array_equal(base.history_values, forced.history_values)
+        assert np.array_equal(trajectory_values(base, worked_problem.psi, grid.history_nodes),
+                              trajectory_values(forced, worked_problem.psi, grid.history_nodes))
         assert forced.initial_weight == base.initial_weight
 
 
