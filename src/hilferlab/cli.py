@@ -132,7 +132,7 @@ def _decimal(v: np.ndarray) -> tuple:
     comes from Dekker's exact product of |v| and hi plus |v| * lo, to within about
     1e-14. p = |v| * hi rounded is an integer above 2^53, so d = p + (the rounded
     rest) is exact as one int64. d is in [10^16, 10^17), or 0 for +-0; parts holds
-    its lead digit and its four 4-digit blocks, by integer division. Not certain:
+    its lead digit and its four 4-digit blocks, by scalar divmod. Not certain:
     within 1e-9 of a rounding tie, non-finite, or |v| outside [1e-280, 1e281).
     """
     scale, at_least = _g17_tables()[:2]
@@ -160,7 +160,10 @@ def _decimal(v: np.ndarray) -> tuple:
     up = d >= 10 ** 17
     d[up] = 10 ** 16
     d[zero] = 0
-    parts = d // np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None] % 10000
+    parts = np.empty((5, d.size), np.int64)
+    np.divmod(d, 10 ** 8, out=(parts[1], parts[3]))
+    np.divmod(parts[1], 10 ** 8, out=(parts[0], parts[1]))
+    np.divmod(parts[1::2], 10 ** 4, out=(parts[1::2], parts[2::2]))
     k[up] += 1.0
     k[zero] = 0.0
     return parts, k, certain | zero

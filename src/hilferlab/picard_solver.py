@@ -20,14 +20,14 @@ it does. The workspace fixes, once per solve: the probe stage
 (:func:`hilferlab.psi_calculus.probe`) of every time at which F reads u,
 that is g(t_0..t_N) and, with a Volterra kernel, the (N+1, M+1)
 quadrature times and their delays, and the powers x^(1-gamma) and
-x^(gamma-1) of the nodes. Where one of those times is <= 0, the probe
-reads u = phi there exactly, by one call of the problem's phi, so the
-history carries no sampling error. A sweep recomputes only what
-depends on the iterate: u at the probed times (one interpolation and one
-multiply each), f and h, the fractional integral (whose kernel spectra
-and starting weights are memoized on the grid), and the new node values.
-The loop runs on arrays of node values and builds one Trajectory at the
-end.
+x^(gamma-1) of the nodes. Without delay (g(t) = t at every node) F reads
+u(s) itself. A probed time <= 0 reads u = phi exactly, by one call of phi. A
+sweep recomputes only what depends on the iterate: u at the probed times
+(one interpolation and one multiply each), f and h, the fractional
+integral (one rfft and one irfft of the stack; the kernel spectrum and
+starting weights are memoized on the grid), and the new node values, in
+place in the integral's fresh array. The loop runs on arrays of node
+values and builds one Trajectory at the end.
 
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
@@ -136,7 +136,7 @@ def _rhs(
 
     ``probe_at(times)`` is the probe stage of evaluating u (see
     :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
-    is probed here, once. The Volterra term
+    is probed here, once, except g(s) where g(s) = s. The Volterra term
     int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one trapezoidal rule per
     row of a (len(s), subdivisions + 1) batch. The first subinterval uses
     the midpoint sample so that u, which may blow up like a negative power
@@ -147,8 +147,9 @@ def _rhs(
     """
     g, h, f = problem.g, problem.h_kernel, problem.f
     lags = np.asarray(g(s), dtype=float)
-    delayed = probe_at(lags)
-    forward = s.size > 1 and s[0] == lags[0] == 0.0 < lags[1]
+    delayed = None if np.array_equal(lags, s) else probe_at(lags)
+    forward = delayed is not None and s.size > 1 and s[0] == lags[0] == 0.0 < lags[1]
+    zero = np.zeros_like(s)  # the Volterra term without h
     if h is not None:
         # the tau nodes of each row, with the first subinterval's midpoint in
         # place of tau = 0; columns 1.. are the trapezoid nodes. This is
@@ -159,24 +160,26 @@ def _rhs(
         times[:, 0] = 0.5 * times[:, 1]
         current, lagged = probe_at(times), probe_at(np.asarray(g(times), dtype=float))
         rows = s[:, None]
+        steps = np.diff(times[:, 1:], axis=1)  # fixed: a sweep redoes np.trapezoid's arithmetic
 
     def volterra(w_nodes: np.ndarray) -> np.ndarray:
         vals = h(rows, times, current(w_nodes), lagged(w_nodes))
         vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
-        return vals[:, 0] * times[:, 1] + np.trapezoid(vals[:, 1:], times[:, 1:], axis=1)
+        return vals[:, 0] * times[:, 1] + (steps * (vals[:, 2:] + vals[:, 1:-1]) / 2.0).sum(1)
 
     def rhs(w_nodes: np.ndarray, u_s: np.ndarray) -> np.ndarray:
         if h is None:
-            inner = np.zeros_like(s)
+            inner = zero
         elif w_nodes.ndim == 1:
             inner = volterra(w_nodes)
         else:  # per row: a stacked batch would multiply the (len(s), M+1) probes by P
             inner = np.array([volterra(w) for w in w_nodes])
-        u_lag = delayed(w_nodes)
+        u_lag = u_s if delayed is None else delayed(w_nodes)
         if forward:
             u_lag[..., 0] = u_s[..., 0]
         f_vals = np.asarray(f(s, u_s, u_lag, inner), dtype=float)
-        return np.broadcast_to(f_vals, w_nodes.shape[:-1] + s.shape)
+        shape = w_nodes.shape[:-1] + s.shape
+        return f_vals if f_vals.shape == shape else np.broadcast_to(f_vals, shape)
 
     return rhs
 
@@ -218,7 +221,8 @@ class _Workspace:
             integral = frac_integral_grid(
                 self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
             )
-            return self.w_init + self.weight * integral  # I = 0 at node 0
+            integral *= self.weight  # in place: the integral is fresh, of the stack's shape
+            return np.add(integral, self.w_init, out=integral)  # I = 0 at node 0
 
 
 def eval_F(problem: DelayFFIDE, traj: Trajectory, s: float, config: SolveConfig) -> float:

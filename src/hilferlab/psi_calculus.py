@@ -30,11 +30,11 @@ sweep.
 Every function here is deterministic and safe to call concurrently. The
 one piece of state is a cache of quadrature weights on each
 :class:`Grid`: the grid-only part of the fractional integral (the kernel
-spectra of the convolution path and the starting weights), built on
+spectrum of the convolution path and the starting weights), built on
 first use for each ``(alpha, rho)`` and reused by every later call on
-that grid, such as each sweep of a Picard solve. An entry is a pure
-function of the grid and its key, so a race between threads only
-computes the same weights twice.
+that grid, such as each sweep of a Picard solve (one rfft and one irfft
+of its stack). An entry is a pure function of the grid and its key, so
+a race between threads only computes the same weights twice.
 """
 
 from __future__ import annotations
@@ -288,50 +288,40 @@ def _fast_len(n: int) -> int:
 
 
 def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """FFT length and rfft spectra of the two kernels of the uniform-grid quadrature.
+    """FFT length, rfft spectrum of K and row P1(1..N+1), both times h^a/Gamma(a).
 
     On a uniform x-grid of spacing h the weights are translation invariant:
 
-      I_i = h^a [ sum_{j<i} w_j (P0-P1)(i-j)  +  sum_{1<=j<=i} w_j P1(i-j+1) ]
+      I_i = h^a/Gamma(a) [ sum_{j<=i} w_j K(i-j)  -  w_0 P1(i+1) ],
+      K(m) = (P0-P1)(m) [m >= 1]  +  P1(m+1),
 
-    with P0, P1 the panel moments at unit spacing, so both sums are linear
-    convolutions, done by ``numpy.fft`` without wraparound at ``_fast_len(2N+1)``.
+    with P0, P1 the panel moments at unit spacing, so the sum is one linear
+    convolution, done by ``numpy.fft`` without wraparound at ``_fast_len(2N+1)``.
     """
-    d = np.arange(0, n + 1, dtype=float)
+    d = np.arange(0, n + 2, dtype=float)
     da = d ** alpha
     da1 = d ** (alpha + 1.0)
-    p0 = (da[1:] - da[:-1]) / alpha  # P0(1..n)
-    p1 = d[1:] * p0 - (da1[1:] - da1[:-1]) / (alpha + 1.0)  # P1(1..n)
+    p0 = (da[1:] - da[:-1]) / alpha  # P0(1..n+1)
+    p1 = d[1:] * p0 - (da1[1:] - da1[:-1]) / (alpha + 1.0)  # P1(1..n+1)
     size = _fast_len(2 * n + 1)
-    scale = h ** alpha
-    left = rfft(scale * np.concatenate(([0.0], p0 - p1)), size)
-    right = rfft(scale * p1, size)
-    return size, left, right
+    scale = h ** alpha / _gamma(alpha)
+    kernel = np.concatenate(([0.0], p0[:-1] - p1[:-1])) + p1
+    return size, rfft(scale * kernel, size), scale * p1
 
 
 def _product_trapezoid_uniform(
-    spectra: tuple[int, np.ndarray, np.ndarray], w: np.ndarray
+    kernel: tuple[int, np.ndarray, np.ndarray], w: np.ndarray
 ) -> np.ndarray:
-    """Uniform-grid quadrature: one rfft/irfft pair on w, (N+1,) or a (P, N+1) stack.
-
-    The transforms take the whole stack at once. The spectral combine runs
-    row by row: on a stack its complex temporaries outgrow the cache and
-    take longer than the rows one at a time.
-    """
-    size, left, right = spectra
+    """The rule of :func:`_uniform_spectra` on w, (N+1,) or (P, N+1): one rfft, multiply, irfft."""
+    size, k_hat, p1 = kernel
     spectrum = rfft(w, size)
-    # ws * left + (ws - w0) * right in place: the second sum skips w_0, and the
-    # spectrum of w_0 at index 0 is w_0 everywhere
-    for ws, w0 in zip(np.atleast_2d(spectrum), np.atleast_2d(w)[:, :1]):
-        skip = ws - w0
-        skip *= right
-        ws *= left
-        ws += skip
-    return irfft(spectrum, size)[..., : w.shape[-1]]
+    spectrum *= k_hat
+    origin = w[..., :1] * p1  # the w_0 term, then the result: no iterate holds the irfft's buffer
+    return np.subtract(irfft(spectrum, size)[..., : p1.size], origin, out=origin)
 
 
 def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Blockwise panel summation for non-uniform x-grids.
+    """Blockwise panel summation for non-uniform x-grids, divided by Gamma(alpha).
 
     Panel [x_j, x_{j+1}] gives row X, with A = X - x_j and B = X - x_{j+1},
     the moments M0 = (A^a - B^a)/a of (X - x)^(a-1) and
@@ -356,13 +346,13 @@ def _product_trapezoid_general(alpha: float, x: np.ndarray, w: np.ndarray) -> np
         m1 = d[:, :-1] * m0 - (da1[:, :-1] - da1[:, 1:]) / (alpha + 1.0)
         for row, ws, slope in zip(out, samples, slopes):
             row[lo:hi] = np.sum(ws[: hi - 1] * m0 + slope[: hi - 1] * m1, axis=1)
-    return out.reshape(w.shape)
+    return out.reshape(w.shape) / _gamma(alpha)
 
 
-def _product_trapezoid(alpha: float, x: np.ndarray, spectra, w: np.ndarray) -> np.ndarray:
-    """The product trapezoid of w on x: the FFT form when the kernel spectra exist."""
-    if spectra is not None:
-        return _product_trapezoid_uniform(spectra, w)
+def _product_trapezoid(alpha: float, x: np.ndarray, kernel, w: np.ndarray) -> np.ndarray:
+    """The product trapezoid of w on x over Gamma(alpha): the FFT form when ``kernel`` exists."""
+    if kernel is not None:
+        return _product_trapezoid_uniform(kernel, w)
     return _product_trapezoid_general(alpha, x, w)
 
 
@@ -371,13 +361,13 @@ def _power_rule(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
     return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
 
 
-def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.ndarray:
-    """Starting weights as an (N, J) matrix acting on the samples w[1..J].
+def _starting_weights(alpha: float, x: np.ndarray, rho: float, kernel) -> np.ndarray:
+    """Starting weights as a (J, N) matrix: row e weights the sample w[e+1] at x_1..x_N.
 
     The product trapezoid, with the sample at x=0 set to 0, plus these
     weights integrates each x^(rho-1+e), e in {0, alpha, 2 alpha}, exactly
-    at every node (Lubich's correction; J = min(3, N)). The weights solve
-    S V = R, where R holds the power rule minus the trapezoid for each
+    at every node (Lubich's correction; J = min(3, N)). The weights are
+    S = V^-1 R, where R holds the power rule minus the trapezoid for each
     power at x_1..x_N and V the powers at x_1..x_J; each power is scaled
     to 1 at x_J, which keeps V's condition number independent of h.
     """
@@ -386,22 +376,22 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, spectra) -> np.nd
     sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
     basis = np.zeros((j, n + 1))
     basis[:, 1:] = x[1:] ** (sigmas[:, None] - 1.0)
-    exact = np.array([_gamma(alpha) * _power_rule(alpha, sigma, x[1:]) for sigma in sigmas])
-    residual = exact - _product_trapezoid(alpha, x, spectra, basis)[:, 1:]
+    exact = np.array([_power_rule(alpha, sigma, x[1:]) for sigma in sigmas])
+    residual = exact - _product_trapezoid(alpha, x, kernel, basis)[:, 1:]
     scale = 1.0 / basis[:, j]
     values = basis[:, 1 : j + 1] * scale[:, None]  # row e: x_1..x_J
-    return np.linalg.solve(values, residual * scale[:, None]).T
+    return np.linalg.inv(values) @ (residual * scale[:, None])
 
 
 def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
-    """(kernel spectra or None, starting weights or None) of I^alpha on grid, cached on it."""
+    """(uniform kernel or None, starting weights or None) of I^alpha on grid, cached on it."""
     found = grid._weights.get((alpha, rho))
     if found is None:
         x = grid.x
-        spectra = (_uniform_spectra(alpha, float(np.diff(x).mean()), x.size - 1)
-                   if grid.psi_uniform else None)
-        start = None if rho is None else _starting_weights(alpha, x, rho, spectra)
-        found = grid._weights.setdefault((alpha, rho), (spectra, start))
+        kernel = (_uniform_spectra(alpha, float(np.diff(x).mean()), x.size - 1)
+                  if grid.psi_uniform else None)
+        start = None if rho is None else _starting_weights(alpha, x, rho, kernel)
+        found = grid._weights.setdefault((alpha, rho), (kernel, start))
     return found
 
 
@@ -424,9 +414,9 @@ def frac_integral_grid(
     node), else :class:`GridError`. When ``grid.psi_uniform`` holds, the
     weights are translation invariant and the integral is an FFT
     convolution; otherwise the panels are summed blockwise at O(N^2) cost.
-    The kernel spectra and the starting weights depend on the grid and the
+    The kernel spectrum and the starting weights depend on the grid and the
     orders only: the first call on a grid builds them and later calls with
-    the same ``(alpha, origin_exponent)`` reuse them.
+    the same ``(alpha, origin_exponent)`` reuse them. The result is a new array.
 
     ``origin_exponent=rho`` (in (0, 2); 1 means no hint) declares that the
     integrand behaves like ``x^(rho-1) (c0 + c1 x^alpha + c2 x^(2 alpha) + ...)``
@@ -451,19 +441,19 @@ def frac_integral_grid(
     if psi.shifted(grid.horizon) != x[-1]:
         raise GridError("psi does not match the grid's x coordinates")
     rho = None if origin_exponent is None or origin_exponent == 1.0 else float(origin_exponent)
-    spectra, start = _grid_weights(grid, float(alpha), rho)
+    kernel, start = _grid_weights(grid, float(alpha), rho)
     if start is None:
-        out = _product_trapezoid(alpha, x, spectra, w)
+        out = _product_trapezoid(alpha, x, kernel, w)
     else:
         data = w.copy()
         data[..., 0] = 0.0
-        out = _product_trapezoid(alpha, x, spectra, data)
-        # row by row: a stacked product rounds differently from start @ w in the last bits
-        for row, values in zip(np.atleast_2d(out), np.atleast_2d(w)):
-            row[1:] += start @ values[1 : start.shape[1] + 1]
+        out = _product_trapezoid(alpha, x, kernel, data)
+        # one multiply-add per weighted sample: elementwise, so a stacked row rounds as alone
+        for e, weights in enumerate(start):
+            out[..., 1:] += weights * w[..., e + 1 : e + 2]
 
     out[..., 0] = 0.0
-    return out / _gamma(alpha)
+    return out
 
 
 def power_rule_reference(alpha: float, sigma: float, psi: PsiFunction, t) -> np.ndarray:

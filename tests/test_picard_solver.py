@@ -186,6 +186,37 @@ class TestBatchedVolterra:
             f_origin = problem.f(0.0, u_origin, u_of(problem.g(np.array([0.0])))[0], 0.0)
             assert samples[0] == f_origin
 
+    def test_undelayed_rhs_reads_u_at_the_nodes(self):
+        # g(s) = s: F reads u(s) itself, w_i x_i^(gamma-1) at node i; on exponential psi,
+        # interpolating at psi.shifted(t_i), an ulp off x_i, is off by about 1e-16
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.6, beta=0.5),
+            psi=catalog.make_psi("exponential"),
+            f=catalog.make_f("linear", c0=0.2, c1=-0.3, c2=0.7),
+            h_kernel=None,
+            g=catalog.make_g("no_delay"),
+            phi=catalog.make_phi("cosine", amplitude=0.5, frequency=2.0),
+            u0=1.0, b=1.0, r=0.5, lip_f=0.7,
+        )
+        grid = make_grid(problem.psi, problem.b, 400, problem.r)
+        gamma = problem.order.gamma
+        traj = Trajectory(
+            grid=grid,
+            weighted_values=1.0 + 0.5 * np.sin(3.0 * grid.x[1:]),
+            initial_weight=1.0 / math.gamma(gamma),
+            phi=problem.phi,
+            gamma=gamma,
+        )
+        ws = _Workspace(problem, grid, subdivisions=64)
+        u = traj.unweight(traj.weighted_values)
+        expected = [problem.f(grid.nodes[1:], c * u, c * u, 0.0) for c in (1.0, 2.0)]
+        w_nodes = traj.node_values()
+        samples = ws.rhs(w_nodes, w_nodes * ws.unweight)
+        assert np.array_equal(samples[1:], expected[0])
+        stack = np.stack((w_nodes, 2.0 * w_nodes))
+        samples = ws.rhs(stack, stack * ws.unweight)
+        assert np.array_equal(samples[:, 1:], expected)
+
     def test_one_f_call_per_sweep(self, worked_problem):
         calls = []
 

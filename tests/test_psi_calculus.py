@@ -298,6 +298,32 @@ class TestFracIntegral:
         for n in sizes:
             assert psi_calculus._fast_len(n) == next_fast_len(n, real=True), n
 
+    def test_one_transform_each_way(self, monkeypatch):
+        # the uniform kernel is one spectrum; a stack of any height takes one rfft and one
+        # irfft, with or without starting weights
+        psi = ORACLE_PSIS["exponential"]
+        grid = make_grid(psi, 1.0, 300, 0.5)
+        x = grid.x
+        calls = []
+
+        def counted(name, transform):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(psi_calculus, "rfft", counted("rfft", psi_calculus.rfft))
+        monkeypatch.setattr(psi_calculus, "irfft", counted("irfft", psi_calculus.irfft))
+        psi_calculus._uniform_spectra(0.5, float(np.diff(x).mean()), 300)
+        assert calls == ["rfft"]
+        for hint in (None, 0.75):
+            frac_integral_grid(0.5, psi, np.sqrt(x), grid, hint)  # builds the weights
+            for rows in (1, 8):
+                calls.clear()
+                stack = np.sqrt(x) * np.arange(1.0, rows + 1.0)[:, None]
+                frac_integral_grid(0.5, psi, stack, grid, hint)
+                assert calls == ["rfft", "irfft"], (hint, rows)
+
     def test_grid_weights_built_once_per_order(self, monkeypatch):
         psi = ORACLE_PSIS["exponential"]
         grid = make_grid(psi, 1.0, 400, 0.5)
