@@ -20,14 +20,25 @@ it does. The workspace fixes, once per solve: the probe stage
 (:func:`hilferlab.psi_calculus.probe`) of every time at which F reads u,
 that is g(t_0..t_N) and, with a Volterra kernel, the (N+1, M+1)
 quadrature times and their delays, and the powers x^(1-gamma) and
-x^(gamma-1) of the nodes. Without delay (g(t) = t at every node) F reads
-u(s) itself. A probed time <= 0 reads u = phi exactly, by one call of phi. A
-sweep recomputes only what depends on the iterate: u at the probed times
-(one interpolation and one multiply each), f and h, the fractional
-integral (one rfft and one irfft of the stack; the kernel spectrum and
-starting weights are memoized on the grid), and the new node values, in
-place in the integral's fresh array. The loop runs on arrays of node
-values and builds one Trajectory at the end.
+x^(gamma-1) of the nodes (with gamma = 1 both are 1, and no pass applies
+them). Without delay (g(t) = t at every node) F reads u(s) itself. A
+probed time <= 0 reads u = phi exactly, by one call of phi. A sweep
+recomputes only what depends on the iterate: u at the probed times (one
+interpolation and one multiply each), f and h, the fractional integral
+(one rfft and one irfft of the stack; the kernel spectrum and starting
+weights are memoized on the grid), and the new node values, in place in
+the integral's fresh array. The loop runs on arrays of node values and
+builds one Trajectory at the end.
+
+Where F is finite at the origin (gamma = 1 or u0 = 0) the product
+trapezoid alone is first order: F carries powers x^q at 0 and, past the
+first breaking point xi of g (g(xi) = 0 < g(t) after it), powers
+(x - x_xi)^q and a jump where phi(0) != u(0+). The workspace finds xi
+from g, sets up the power fits once per solve and takes their correction
+columns from the grid; each sweep fits the coefficients to the samples
+of F next to each point and adds the columns, and F reads u(g(t))
+through the fitted origin powers. The same sweeps are then second
+order (Lubich's correction, Bellen & Zennaro's breaking points).
 
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
@@ -60,8 +71,11 @@ from .psi_calculus import (
     Trajectory,
     frac_integral_grid,
     make_grid,
+    origin_fit,
+    power_columns,
+    power_exponents,
+    power_fit,
     probe,
-    trajectory_values,
 )
 from .special_functions import gamma as gamma_fn
 
@@ -126,7 +140,12 @@ class SolveResult:
 
 
 def _rhs(
-    problem: DelayFFIDE, probe_at: Callable, s: np.ndarray, subdivisions: int
+    problem: DelayFFIDE,
+    probe_at: Callable,
+    s: np.ndarray,
+    lags: np.ndarray,
+    subdivisions: int,
+    origin_powers: tuple,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """F_u at the 1-D array of times s >= 0, as a function of (node values of w, u(s)).
 
@@ -134,9 +153,12 @@ def _rhs(
     stacked alike; f is called once on the whole stack, and the result
     has one row of F per row of the stack.
 
-    ``probe_at(times)`` is the probe stage of evaluating u (see
+    ``lags`` holds g(s). ``probe_at(times)`` is the probe stage of evaluating u (see
     :func:`hilferlab.psi_calculus.probe`); every time at which F reads u
-    is probed here, once, except g(s) where g(s) = s. The Volterra term
+    is probed here, once, except g(s) where g(s) = s. u(g(s)) is read
+    through the fitted ``origin_powers``; the Volterra batch reads plain
+    interpolation, since its own rule errs more and a correction would
+    cost a pass over the whole batch every sweep. The Volterra term
     int_0^s h(s, tau, u(tau), u(g(tau))) dtau is one trapezoidal rule per
     row of a (len(s), subdivisions + 1) batch. The first subinterval uses
     the midpoint sample so that u, which may blow up like a negative power
@@ -146,8 +168,7 @@ def _rhs(
     reads u(g(0+)) = u(0+), the node-0 value of u(s), not the history's phi(0).
     """
     g, h, f = problem.g, problem.h_kernel, problem.f
-    lags = np.asarray(g(s), dtype=float)
-    delayed = None if np.array_equal(lags, s) else probe_at(lags)
+    delayed = None if np.array_equal(lags, s) else probe_at(lags, origin_powers=origin_powers)
     forward = delayed is not None and s.size > 1 and s[0] == lags[0] == 0.0 < lags[1]
     zero = np.zeros_like(s)  # the Volterra term without h
     if h is not None:
@@ -184,6 +205,40 @@ def _rhs(
     return rhs
 
 
+def _breaking_point(problem: DelayFFIDE, grid: Grid, lags: np.ndarray) -> Optional[tuple]:
+    """(x at the first breaking point xi of g, index of the first node right of it), or None.
+
+    xi is where g reaches 0 and turns positive, so F reads u(g(t)) past it
+    and phi(g(t)) up to it. It is None when g stays <= 0 on the grid, and
+    when xi = 0: a delay leaving the origin forward breaks nowhere else.
+    Off the grid, xi is the last float of its bracket where g <= 0.
+    """
+    right = np.flatnonzero(lags > 0.0)
+    k = int(right[0]) if right.size else 0
+    if k == 0 or (k == 1 and lags[0] == 0.0):
+        return None
+    lo, hi = float(grid.nodes[k - 1]), float(grid.nodes[k])
+    while lags[k - 1] < 0.0 and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if float(np.asarray(problem.g(np.array([mid])), dtype=float)[0]) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x_xi = grid.x[k - 1] if lo == grid.nodes[k - 1] else float(problem.psi.shifted(lo))
+    return float(x_xi), k
+
+
+def _origin_fit(problem: DelayFFIDE, grid: Grid) -> tuple[list, np.ndarray]:
+    """(powers, inverse) of the power fit of F and u at 0+ (see :class:`_Workspace`).
+
+    Empty when gamma < 1 and u0 != 0: F then carries x^(gamma-1) and the
+    quadrature's origin hint takes over.
+    """
+    if problem.order.gamma < 1.0 and problem.u0 != 0.0:
+        return [], np.zeros((0, 0))
+    return origin_fit(grid, power_exponents(problem.order.alpha))
+
+
 class _Workspace:
     """Everything of one solve that the iterate does not change (see the module docstring).
 
@@ -192,28 +247,102 @@ class _Workspace:
     node 0 is u(0+): w0 when gamma = 1, else 0, which is exact when
     u0 = 0; with u0 != 0 the origin hint makes the quadrature discard that
     sample.
+
+    With gamma = 1 or u0 = 0, F and u are regular at the origin: sums of
+    powers x^q (q in :func:`~hilferlab.psi_calculus.power_exponents`, as
+    many as :func:`~hilferlab.psi_calculus.power_fit` keeps) plus a smooth
+    rest. Past the first breaking point xi of g, F adds such powers of
+    x - x_xi, and a jump where phi(0) != u(0+). F reads u(g(t)) through
+    the origin powers' fit (see :func:`~hilferlab.psi_calculus.probe`). Each
+    sweep fits the coefficients of the non-integer powers, of the jump
+    and, off the grid, of the kink (x - x_xi)_+, from the samples of F
+    next to each point, and adds as many correction columns
+    (:func:`~hilferlab.psi_calculus.power_columns`) to the integral.
     """
 
     def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
         self.problem = problem
         self.grid = grid
         gamma = problem.order.gamma
-        self.weight = grid.x ** (1.0 - gamma)
+        self.weight = None if gamma == 1.0 else grid.x ** (1.0 - gamma)  # x^0 = 1 needs no pass
         self.unweight = np.concatenate(([float(gamma == 1.0)], grid.x[1:] ** (gamma - 1.0)))
         self.w_init = problem.u0 / gamma_fn(gamma)
         # The right-hand side inherits the solution's x^(gamma-1) blow-up only
         # through the homogeneous term; with u0 = 0 (or gamma = 1) F is regular
         # at the origin, u(0+) is finite, and the node-0 sample is real data.
         self.origin_hint = None if (gamma == 1.0 or problem.u0 == 0.0) else gamma
+        powers, inverse = _origin_fit(problem, grid)
+        self.origin_powers = tuple(powers)
+        lags = np.asarray(problem.g(grid.nodes), dtype=float)
         probe_at = partial(probe, grid, problem.psi, gamma, problem.phi)
-        self.rhs = _rhs(problem, probe_at, grid.nodes, subdivisions)
+        self.rhs = _rhs(problem, probe_at, grid.nodes, lags, subdivisions, self.origin_powers)
+        # F's samples at fit_nodes, weighted by a row of fit_weights, give the
+        # coefficient of the matching (first node, column) of columns
+        self.fit_nodes, self.fit_weights = np.zeros(0, dtype=int), np.zeros((0, 0))
+        self.columns: list[tuple[int, np.ndarray]] = []
+        if powers:
+            self._corrections(powers, inverse, lags)
+
+    def _add_columns(self, nodes: np.ndarray, weights: np.ndarray, columns, start: int) -> None:
+        """Fit each row of ``weights`` from F at ``nodes``; its column adds from node ``start``."""
+        m = self.fit_nodes.size
+        self.fit_nodes = np.concatenate((self.fit_nodes, nodes))
+        fit = np.zeros((self.fit_weights.shape[0] + len(weights), self.fit_nodes.size))
+        fit[: -len(weights), :m] = self.fit_weights
+        fit[-len(weights):, m:] = weights
+        self.fit_weights = fit
+        self.columns += [(start, column) for column in columns]
+
+    def _corrections(self, powers: list, inverse: np.ndarray, lags: np.ndarray) -> None:
+        """The origin's and xi's fits and columns (see the class docstring)."""
+        problem, grid = self.problem, self.grid
+        alpha, x, n = problem.order.alpha, grid.x, grid.n_intervals
+        # the origin: F ~ sum_q a_q x^q, fitted from the samples at nodes 0..J-1
+        odd = [i for i, q in enumerate(powers) if q != round(q)]
+        if odd:
+            qs = [powers[i] for i in odd]
+            weights = inverse[odd] / x[len(powers) - 1] ** np.array(qs)[:, None]
+            columns = power_columns(grid, alpha, qs)[:, 1:]
+            self._add_columns(np.arange(len(powers)), weights, columns, 1)
+        point = _breaking_point(problem, grid, lags)
+        if point is None:
+            return
+        x_xi, k = point
+        on_grid = x_xi == x[k - 1]
+        # past xi: F minus its left side's quadratic extrapolation is
+        # sum_q c_q (x - x_xi)^q, fitted from the J samples right of xi (from
+        # node k + 1 off the grid, which keeps the fit's points h apart)
+        u_right = self.w_init if problem.order.gamma == 1.0 else 0.0
+        jump = float(np.ravel(problem.phi(np.zeros(1)))[0]) != u_right
+        exponents = [0.0] * jump + [q for q in power_exponents(alpha) if q > 0.0]
+        first = k + (not on_grid)
+        if k < 3 or first + len(exponents) > n + 1:
+            return
+        kept, inverse = power_fit(x[first:] - x_xi, exponents)
+        apply = [i for i, q in enumerate(kept) if q != round(q) or q == 0.0 or not on_grid]
+        if not apply:
+            return
+        qs = [kept[i] for i in apply]
+        right, left = np.arange(first, first + len(kept)), np.arange(k - 3, k)
+        # the Lagrange weights of the quadratic through the left samples, at the right nodes
+        xl = x[left].tolist()
+        extrap = np.array([[math.prod((xr - xl[b]) / (xl[a] - xl[b]) for b in range(3) if b != a)
+                            for a in range(3)] for xr in x[right].tolist()])
+        fit = inverse[apply]
+        weights = np.hstack((fit, -(fit[:, :, None] * extrap).sum(1)))
+        weights /= (x[right[-1]] - x_xi) ** np.array(qs)[:, None]
+        if on_grid and grid.psi_uniform:  # the columns at 0, moved k - 1 nodes on
+            columns = power_columns(grid, alpha, qs)[:, 1 : n + 2 - k]
+        else:
+            columns = power_columns(grid, alpha, qs, x_xi)[:, k:]
+        self._add_columns(np.concatenate((right, left)), weights, columns, k)
 
     def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
         """The fixed-point map on node values, one row or a (P, N+1) stack; F gets ``forcing``."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = self.rhs(w_nodes, w_nodes * self.unweight)
+            samples = self.rhs(w_nodes, w_nodes if self.weight is None else w_nodes * self.unweight)
             if forcing is not None:
                 samples = samples + forcing
             if not np.all(np.isfinite(samples)):
@@ -221,14 +350,25 @@ class _Workspace:
             integral = frac_integral_grid(
                 self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
             )
-            integral *= self.weight  # in place: the integral is fresh, of the stack's shape
+            if self.columns:
+                # each row's fits sum in a fixed order (cumsum is sequential) and its
+                # columns are added row by row, so a stacked row rounds as alone
+                data = samples.reshape(-1, samples.shape[-1])[:, None, self.fit_nodes]
+                coefs = np.cumsum(data * self.fit_weights, axis=-1)[..., -1].tolist()
+                for row, coef in zip(integral.reshape(-1, integral.shape[-1]), coefs):
+                    for (start, column), c in zip(self.columns, coef):
+                        row[start:] += column * c
+            if self.weight is not None:
+                integral *= self.weight  # in place: the integral is fresh, of the stack's shape
             return np.add(integral, self.w_init, out=integral)  # I = 0 at node 0
 
 
 def eval_F(problem: DelayFFIDE, traj: Trajectory, s: float, config: SolveConfig) -> float:
     """The integral-equation right-hand side F at a single time s > 0.
 
-    The Volterra term takes ``config.inner_quad_nodes`` panels, as in a solve.
+    The Volterra term takes ``config.inner_quad_nodes`` panels, and u(s)
+    and u(g(s)) are read through the problem's fitted origin powers, as in
+    a solve.
     """
     s = float(s)
     if not s > 0.0:
@@ -236,8 +376,12 @@ def eval_F(problem: DelayFFIDE, traj: Trajectory, s: float, config: SolveConfig)
     if s > traj.grid.horizon + 1e-12:
         raise ValueError(f"s={s} lies beyond the trajectory horizon {traj.grid.horizon}")
     probe_at = partial(probe, traj.grid, problem.psi, traj.gamma, traj.phi)
-    rhs = _rhs(problem, probe_at, np.array([s]), config.inner_quad_nodes)
-    return float(rhs(traj.node_values(), trajectory_values(traj, problem.psi, s))[0])
+    powers = tuple(_origin_fit(problem, traj.grid)[0])
+    times = np.array([s])
+    rhs = _rhs(problem, probe_at, times, np.asarray(problem.g(times), dtype=float),
+               config.inner_quad_nodes, powers)
+    w_nodes = traj.node_values()
+    return float(rhs(w_nodes, probe_at(times, origin_powers=powers)(w_nodes))[0])
 
 
 def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> Trajectory:

@@ -18,27 +18,34 @@ Solutions of the fractional problems treated here typically blow up like
 ``w`` at ``t -> 0+`` separately. An optional ``origin_exponent`` hint
 ``rho`` lets the quadrature integrate such data: starting weights on the
 first samples make it exact on ``x^(rho-1+e)``, e in {0, alpha, 2 alpha}
-(Lubich 1986, *Discretized fractional calculus*).
+(Lubich 1986, *Discretized fractional calculus*). An integrand that is
+finite but carries powers ``(x - x_xi)_+^q`` at a point xi (q from
+:func:`power_exponents`, the powers the rule integrates below second
+order) is made exact on them by correction columns (:func:`power_columns`),
+added with coefficients fitted to its samples next to xi (:func:`power_fit`).
 
 Evaluating a trajectory at fixed times has two stages: :func:`probe` does
 the work that depends on the times alone, once, and returns the apply
 stage, which maps the node values of w to u(t). At times t <= 0, u is the
 prescribed history phi itself, called once in the probe stage; no samples
-of it are kept. A Picard solve probes its times once and applies every
-sweep.
+of it are kept. Where u is a sum of such powers at 0+, the probe fits
+them from the first nodes and reads them exactly between nodes. A Picard
+solve probes its times once and applies every sweep.
 
 Every function here is deterministic and safe to call concurrently. The
 one piece of state is a cache of quadrature weights on each
 :class:`Grid`: the grid-only part of the fractional integral (the kernel
-spectrum of the convolution path and the starting weights), built on
-first use for each ``(alpha, rho)`` and reused by every later call on
-that grid, such as each sweep of a Picard solve (one rfft and one irfft
-of its stack). An entry is a pure function of the grid and its key, so
-a race between threads only computes the same weights twice.
+spectrum of the convolution path, the starting weights, the correction
+columns and the power fits at the first nodes), built on first use for
+each key and reused by every later call on that grid, such as each
+sweep of a Picard solve (one rfft and one irfft of its stack). An entry
+is a pure function of the grid and its key, so a race between threads
+only computes the same weights twice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -235,8 +242,79 @@ class Trajectory:
         return np.concatenate(([self.initial_weight], self.weighted_values))
 
 
+#: Largest condition number of a scaled power fit (:func:`power_fit`).
+_FIT_COND = 1e6
+
+
+def power_exponents(alpha: float) -> list[float]:
+    """The powers q = j alpha + k (j, k >= 0) with q + alpha < 2: 0 and 1, then the rest ascending.
+
+    The product trapezoid integrates x^q with an error of order h^(q+alpha)
+    next to x = 0, so these are the powers that keep it below second order.
+    Coincident members (alpha = 1/2 gives 2 alpha = 1) count once, as the
+    integer. The integers lead, so a fit that must drop powers
+    (:func:`power_fit`) keeps them, and stays exact on a smooth integrand.
+    """
+    found: list[float] = []
+    for j in range(int(2.0 / alpha) + 1):
+        for k in (0, 1):
+            q = j * alpha + k
+            q = float(round(q)) if abs(q - round(q)) < 1e-9 else q
+            if q + alpha < 2.0 and all(abs(q - p) >= 1e-9 for p in found):
+                found.append(q)
+    return sorted(found, key=lambda q: (q != round(q), q))
+
+
+def _inverse(a: list) -> list:
+    """The inverse of a small square matrix of floats: Gauss-Jordan with partial pivoting.
+
+    A singular matrix gives an inverse of nans.
+    """
+    n = len(a)
+    rows = [list(row) + [float(i == r) for i in range(n)] for r, row in enumerate(a)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c] or math.nan
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                factor = rows[r][c]
+                rows[r] = [v - factor * e for v, e in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def power_fit(points: np.ndarray, exponents) -> tuple[list[float], np.ndarray]:
+    """(powers kept, inverse) of fitting sum_q c_q (p/p_J)^q to samples at the first J points.
+
+    J is the number of powers kept: the longest prefix of ``exponents``
+    whose matrix of powers, scaled to 1 at the J-th point, has a condition
+    number (in the max-row-sum norm) of at most ``_FIT_COND``; the scaling
+    keeps it independent of the grid step. Row q of the inverse maps the J
+    samples to c_q.
+    """
+    exponents = [float(q) for q in exponents]
+    for j in range(min(len(exponents), len(points)), 0, -1):
+        at = points[:j].tolist()
+        powers = [[(p / at[-1]) ** q for q in exponents[:j]] for p in at]
+        inverse = _inverse(powers)
+        norm = max(sum(map(abs, row)) for row in powers)
+        if norm * max(sum(map(abs, row)) for row in inverse) <= _FIT_COND:
+            return exponents[:j], np.array(inverse)
+    return [], np.zeros((0, 0))
+
+
+def origin_fit(grid: Grid, exponents) -> tuple[list[float], np.ndarray]:
+    """:func:`power_fit` at the grid's first nodes, cached on the grid for each set of powers."""
+    key = ("fit", tuple(exponents))
+    found = grid._weights.get(key)
+    if found is None:
+        found = grid._weights.setdefault(key, power_fit(grid.x, exponents))
+    return found
+
+
 def probe(
-    grid: Grid, psi: PsiFunction, gamma: float, phi: Callable, times
+    grid: Grid, psi: PsiFunction, gamma: float, phi: Callable, times, origin_powers=()
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The probe stage of evaluating u at fixed ``times``; returns the apply stage.
 
@@ -247,6 +325,13 @@ def probe(
     ``x^(gamma-1)`` (for gamma < 1 this correctly blows up as t -> 0+).
     Given a (P, N+1) stack of node values, it returns one row of u per
     row of the stack.
+
+    With ``origin_powers`` (J powers q of u = sum_q b_q x^q + ... at
+    0+), u at nodes 0..J-1 (u(0+) = w0 when gamma = 1, else 0) is fitted by
+    sum_q b_q x^q (:func:`origin_fit`), and each b_q times the
+    interpolation's error on x^q is added back: the read is then exact on
+    those powers, where plain interpolation errs by O(h^q) next to 0. The
+    probe stage fixes the errors; the apply stage fits b once per row.
     Times below the history window raise :class:`DelayRangeError`.
     """
     times = np.asarray(times, dtype=float)
@@ -257,14 +342,35 @@ def probe(
     known = np.broadcast_to(np.asarray(phi(times[past]), dtype=float), np.count_nonzero(past))
     future = ~past
     xq = np.asarray(psi.shifted(times[future]), dtype=float)
-    scale = xq ** (gamma - 1.0)
+    scale = None if gamma == 1.0 else xq ** (gamma - 1.0)  # x^0 = 1 needs no pass
     x_nodes, shape = grid.x, times.shape
+    terms = []  # (weights on w at nodes 0..J-1, interpolation error) per fitted power
+    powers, inverse = origin_fit(grid, origin_powers)
+    j = len(powers)
+    if j:
+        to_u = np.concatenate(([float(gamma == 1.0)], x_nodes[1:j] ** (gamma - 1.0)))
+        # a time within rounding (4 ulps of x_N) of a node reads that node exactly
+        near = np.rint(np.interp(xq, x_nodes, np.arange(x_nodes.size, dtype=float))).astype(int)
+        off = np.flatnonzero(np.abs(xq - x_nodes[near]) > 8.9e-16 * x_nodes[-1])
+        for q, row in zip(powers, inverse):
+            # on x^q, w = x^(q+1-gamma): its interpolation is exact when that is 0 or 1
+            if off.size and not (gamma == 1.0 and q == round(q)):
+                at = xq[off]
+                shown = np.interp(at, x_nodes, x_nodes ** (q + 1.0 - gamma))
+                if scale is not None:
+                    shown *= scale[off]
+                terms.append((row * to_u / x_nodes[j - 1] ** q, at ** q - shown))
 
     def apply(w_nodes: np.ndarray) -> np.ndarray:
         out = np.empty(np.shape(w_nodes)[:-1] + shape)
         for row, w in zip(out.reshape(-1, *shape), np.reshape(w_nodes, (-1, x_nodes.size))):
             row[past] = known
-            row[future] = np.interp(xq, x_nodes, w) * scale
+            u = np.interp(xq, x_nodes, w)
+            if scale is not None:
+                u *= scale
+            for weights, error in terms:
+                u[off] += error * (weights * w[:j]).sum()
+            row[future] = u
         return out
 
     return apply
@@ -282,9 +388,16 @@ def trajectory_values(traj: Trajectory, psi: PsiFunction, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: each odd p = 3^i 5^j < 2n doubled up to >= n."""
-    odd = (3**i * 5**j for i in range(n.bit_length() + 1) for j in range(n.bit_length() + 1))
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+    """The smallest 2^a 3^b 5^c >= n: each odd 3^i 5^j below the best so far, doubled to >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def _uniform_spectra(alpha: float, h: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -361,6 +474,22 @@ def _power_rule(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
     return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
 
 
+def _power_residuals(alpha: float, x: np.ndarray, kernel, sigmas, shift: float = 0.0) -> np.ndarray:
+    """(J, N+1): the power rule minus the product trapezoid of (x - shift)_+^(sigma-1), each sigma.
+
+    Nodes at or left of ``shift`` carry the sample 0 (so the power 0 is a
+    unit step just right of ``shift``), and their rows are exactly 0.
+    """
+    k = int(np.searchsorted(x, shift, side="right"))  # the first node right of shift
+    y = x[k:] - shift
+    basis = np.zeros((len(sigmas), x.size))
+    basis[:, k:] = y ** (np.asarray(sigmas)[:, None] - 1.0)
+    residual = np.zeros_like(basis)
+    residual[:, k:] = np.array([_power_rule(alpha, sigma, y) for sigma in sigmas])
+    residual[:, k:] -= _product_trapezoid(alpha, x, kernel, basis)[:, k:]
+    return residual
+
+
 def _starting_weights(alpha: float, x: np.ndarray, rho: float, kernel) -> np.ndarray:
     """Starting weights as a (J, N) matrix: row e weights the sample w[e+1] at x_1..x_N.
 
@@ -371,16 +500,12 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, kernel) -> np.nda
     power at x_1..x_N and V the powers at x_1..x_J; each power is scaled
     to 1 at x_J, which keeps V's condition number independent of h.
     """
-    n = x.size - 1
-    j = min(3, n)
+    j = min(3, x.size - 1)
     sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
-    basis = np.zeros((j, n + 1))
-    basis[:, 1:] = x[1:] ** (sigmas[:, None] - 1.0)
-    exact = np.array([_power_rule(alpha, sigma, x[1:]) for sigma in sigmas])
-    residual = exact - _product_trapezoid(alpha, x, kernel, basis)[:, 1:]
-    scale = 1.0 / basis[:, j]
-    values = basis[:, 1 : j + 1] * scale[:, None]  # row e: x_1..x_J
-    return np.linalg.inv(values) @ (residual * scale[:, None])
+    residual = _power_residuals(alpha, x, kernel, sigmas)[:, 1:]
+    powers = x[1 : j + 1] ** (sigmas[:, None] - 1.0)  # row e: x_1..x_J
+    scale = 1.0 / powers[:, -1]
+    return np.linalg.inv(powers * scale[:, None]) @ (residual * scale[:, None])
 
 
 def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
@@ -392,6 +517,28 @@ def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
                   if grid.psi_uniform else None)
         start = None if rho is None else _starting_weights(alpha, x, rho, kernel)
         found = grid._weights.setdefault((alpha, rho), (kernel, start))
+    return found
+
+
+def power_columns(grid: Grid, alpha: float, exponents, shift: float = 0.0) -> np.ndarray:
+    """Correction columns of I^alpha at a non-smooth point of the integrand, cached on the grid.
+
+    Row q is I^alpha of (x - shift)_+^q by the power rule minus the product
+    trapezoid of its samples, at every node: adding c times it to the rule
+    makes the rule exact on a term c (x - shift)_+^q of the integrand. The
+    samples are 0 at and left of ``shift``, so the power 0 is a unit jump
+    just right of it. On a psi-uniform grid the rule is translation
+    invariant: the columns at a node x_k are those at 0 moved k nodes on.
+    Like the kernel spectrum, the columns are built on first use for each
+    ``(alpha, exponents, shift)`` and reused by every later call.
+    """
+    key = ("columns", float(alpha), tuple(exponents), float(shift))
+    found = grid._weights.get(key)
+    if found is None:
+        kernel, _ = _grid_weights(grid, float(alpha), None)
+        sigmas = np.asarray(exponents, dtype=float) + 1.0
+        columns = _power_residuals(alpha, grid.x, kernel, sigmas, shift)
+        found = grid._weights.setdefault(key, columns)
     return found
 
 

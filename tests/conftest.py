@@ -16,8 +16,25 @@ import pytest
 from hilferlab import DelayFFIDE, FractionalOrder, catalog
 
 
-def ml_series(alpha: float, beta: float, z: float, tol: float = 1e-16) -> float:
-    """Brute-force Mittag-Leffler series, independent of the package path."""
+def ml_series(alpha: float, beta: float, z, tol: float = 1e-16):
+    """Brute-force Mittag-Leffler series, independent of the package path.
+
+    ``z`` may be an array; its elements are then summed together, until
+    the largest term has stayed below ``tol`` four times.
+    """
+    if np.ndim(z):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(z))
+        total = np.full(z.shape, 1.0 / math.gamma(beta))
+        small = 0
+        for k in range(1, 2000):
+            mag = np.exp(k * log_abs - math.lgamma(alpha * k + beta))
+            total += np.where(z < 0.0, -mag, mag) if k % 2 else mag
+            small = small + 1 if np.max(mag) < tol else 0
+            if small >= 4:
+                return total
+        raise RuntimeError("oracle series did not converge")
     total = 0.0
     small = 0
     for k in range(2000):
@@ -31,6 +48,43 @@ def ml_series(alpha: float, beta: float, z: float, tol: float = 1e-16) -> float:
         if small >= 4:
             return total
     raise RuntimeError("oracle series did not converge")
+
+
+def delay_steps_solution(alpha: float, c1: float, c2: float, lag: float, u0: float, t):
+    """Exact u(t), 0 <= t <= 2 lag, of u = u0 + I^alpha[c1 u + c2 u(s - lag)] with phi = cos.
+
+    Identity psi and gamma = 1, by the method of steps (Bellen & Zennaro,
+    *Numerical Methods for Delay Differential Equations*, OUP 2003): with
+    cos(s - lag) = sum_m a_m s^m, on [0, lag]
+
+      u = v(t) = u0 E_a(c1 t^a) + c2 sum_m a_m m! t^(a+m) E_{a,a+m+1}(c1 t^a),
+
+    and on [lag, 2 lag], with tau = t - lag and v(s) - cos(s) = sum_p d_p s^p,
+
+      u = v(t) + c2 sum_p d_p Gamma(p+1) tau^(a+p) E_{a,a+p+1}(c1 tau^a).
+
+    a_m m! = cos(m pi/2 - lag), and d_p Gamma(p+1) is u0 c1^k at p = k a,
+    c2 a_m m! c1^k at p = (k+1) a + m, and -(-1)^n at p = 2n (from cos).
+    Terms below 1e-20 on the times asked for are left out.
+    """
+    a = alpha
+    t = np.asarray(t, dtype=float)
+
+    def series(x, terms):
+        """sum of c x^(a+p) E_{a,a+p+1}(c1 x^a) over the (p, c) of terms."""
+        out = np.zeros_like(x)
+        top = max(float(np.max(x)), 1.0)
+        for p, c in terms:
+            if abs(c) * top ** (a + p) / math.gamma(a + p + 1.0) > 1e-20:
+                out += c * x ** (a + p) * ml_series(a, a + p + 1.0, c1 * x**a)
+        return out
+
+    taylor = [math.cos(m * math.pi / 2.0 - lag) for m in range(40)]  # a_m m!
+    u = u0 * ml_series(a, 1.0, c1 * t**a) + c2 * series(t, list(enumerate(taylor)))
+    steps = [(0.0, u0 - 1.0)] + [(a * k, u0 * c1**k) for k in range(1, 60)]  # (p, d_p Gamma(p+1))
+    steps += [(a * (k + 1) + m, c2 * am * c1**k) for m, am in enumerate(taylor) for k in range(60)]
+    steps += [(2.0 * n, -((-1.0) ** n)) for n in range(1, 20)]
+    return u + c2 * np.where(t > lag, series(np.maximum(t - lag, 0.0), steps), 0.0)
 
 
 def power_exp_integral(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ from hilferlab import (
     trajectory_values,
 )
 from hilferlab.picard_solver import _Workspace, grid_for
+from hilferlab.psi_calculus import probe
 
-from conftest import make_linear_problem, ml_series
+from conftest import delay_steps_solution, make_linear_problem, ml_series
 
 
 COARSE = SolveConfig(inner_quad_nodes=32)  # 32 Volterra panels for eval_F
@@ -42,6 +43,21 @@ def constant_state_problem(c3_only=False):
         r=0.5,
         lip_f=1.0,
     )
+
+
+def pantograph(t, alpha=0.5, c2=0.5):
+    """u(t) of D^alpha u = c2 u(t/2), u(0) = 1, gamma = 1: sum_k a_k t^(k alpha).
+
+    The power rule gives a_(k+1) = c2 2^(-k alpha) Gamma(k alpha + 1)/Gamma((k+1) alpha + 1) a_k.
+    """
+    total, coef = 0.0, 1.0
+    for k in range(200):
+        total += coef * t ** (k * alpha)
+        coef *= c2 * 2.0 ** (-k * alpha) * math.gamma(k * alpha + 1.0)
+        coef /= math.gamma((k + 1) * alpha + 1.0)
+        if coef < 1e-30:
+            return total
+    raise RuntimeError("pantograph series did not converge")
 
 
 def flat_trajectory(problem, n=64, value=4.0):
@@ -160,6 +176,7 @@ class TestBatchedVolterra:
         )
         ws = _Workspace(problem, grid, subdivisions=64)
         assert (ws.origin_hint is None) == (gamma == 1.0 or u0 == 0.0)
+        assert bool(ws.origin_powers) == (ws.origin_hint is None)
         w_nodes = traj.node_values()
         samples = ws.rhs(w_nodes, w_nodes * ws.unweight)
         assert np.all(np.isfinite(samples))
@@ -170,8 +187,10 @@ class TestBatchedVolterra:
             [_inner_integral_per_node(problem.h_kernel, float(s), u_of, problem.g, 64)
              for s in t_int]
         )
+        # F reads u(g(t)) through the solver's fit of the origin powers
+        lagged = probe(grid, problem.psi, gamma, problem.phi, problem.g(t_int), ws.origin_powers)
         expected = problem.f(
-            t_int, traj.unweight(traj.weighted_values), u_of(problem.g(t_int)), inner
+            t_int, traj.unweight(traj.weighted_values), lagged(w_nodes), inner
         )
         assert np.array_equal(samples[1:], expected)
 
@@ -357,21 +376,24 @@ class TestSolve:
                             + 0.5 * x ** (alpha + 1.0) / math.gamma(alpha + 2.0))
         assert np.max(np.abs(result.trajectory.weighted_values - exact)) <= 1e-12
 
-    @pytest.mark.parametrize("beta,u0,phi0,c0,exact", [
+    @pytest.mark.parametrize("beta,u0,phi0,c0,g,exact", [
         # gamma = 1: u = E_0.5(0.5 t^0.5), u(0+) = 1
-        (1.0, 1.0, 0.0, 0.0, lambda t: ml_series(0.5, 1.0, 0.5 * t**0.5)),
+        (1.0, 1.0, 0.0, 0.0, ("no_delay", {}), lambda t: ml_series(0.5, 1.0, 0.5 * t**0.5)),
         # gamma = 0.75, u0 = 0: u = t^0.5 E_{0.5,1.5}(0.5 t^0.5), u(0+) = 0
-        (0.5, 0.0, 1.0, 1.0, lambda t: t**0.5 * ml_series(0.5, 1.5, 0.5 * t**0.5)),
-    ], ids=["gamma-one", "zero-u0"])
-    def test_delay_leaving_origin_forward_reads_right_limit(self, beta, u0, phi0, c0, exact):
-        # g(t) = t leaves 0 forward, so F(0) reads u(0+), not phi(0): reading phi(0)
+        (0.5, 0.0, 1.0, 1.0, ("no_delay", {}),
+         lambda t: t**0.5 * ml_series(0.5, 1.5, 0.5 * t**0.5)),
+        # gamma = 1, g(t) = t/2 (pantograph): u = sum_k a_k t^(k/2), F reads u between nodes
+        (1.0, 1.0, 0.0, 0.0, ("proportional_lag", {"scale": 0.5}), pantograph),
+    ], ids=["gamma-one", "zero-u0", "pantograph"])
+    def test_delay_leaving_origin_forward_reads_right_limit(self, beta, u0, phi0, c0, g, exact):
+        # g(0) = 0 < g(t) leaves 0 forward, so F(0) reads u(0+), not phi(0): reading phi(0)
         # puts an O(h^0.5) error into the first panel and the order drops to 0.5
         problem = DelayFFIDE(
             order=FractionalOrder(alpha=0.5, beta=beta),
             psi=catalog.make_psi("identity"),
             f=catalog.make_f("linear", c0=c0, c2=0.5),
             h_kernel=None,
-            g=catalog.make_g("no_delay"),
+            g=catalog.make_g(g[0], **g[1]),
             phi=catalog.make_phi("constant", value=phi0),
             u0=u0, b=1.0, r=0.5, lip_f=0.5,
         )
@@ -493,6 +515,64 @@ class TestSolve:
         result = solve(problem, config)
         assert result.converged
         assert np.all(np.isfinite(result.trajectory.weighted_values))
+
+
+#: The coefficients (c1, c2) of the seed-1 ``uhml_suite`` benchmark problem.
+UHML_SEED1 = (0.04980373444624767, 0.050023987987430345)
+
+
+def sup_errors(problem, exact, sizes=(500, 1000, 2000)):
+    """Sup error of the weighted values against exact(t) at the interior nodes, per grid size."""
+    errors = []
+    for n in sizes:
+        traj = solve(problem, SolveConfig(grid_size=n, tol=1e-14)).trajectory
+        errors.append(np.max(np.abs(traj.weighted_values - exact(traj.grid.nodes[1:]))))
+    return np.array(errors)
+
+
+class TestSecondOrder:
+    """Second order against exact solutions: each doubling of N cuts the sup error by >= 3.5."""
+
+    @pytest.mark.parametrize("lag,b,u0", [(0.5, 1.0, 1.0), (0.3, 0.55, 1.0), (0.5, 1.0, 0.7)],
+                             ids=["xi-on-grid", "xi-off-grid", "xi-jump"])
+    def test_delay_against_method_of_steps(self, lag, b, u0):
+        # gamma = 1, g(t) = t - lag: F carries x^q at 0 and (x - lag)^q past lag; the
+        # breaking point lag is a node at every N, or (lag 0.3, b 0.55) at none; with
+        # u0 != phi(0) = 1, F jumps there
+        c1, c2 = UHML_SEED1
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.5, beta=1.0),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c1=c1, c2=c2),
+            h_kernel=None,
+            g=catalog.make_g("constant_lag", lag=lag),
+            phi=catalog.make_phi("cosine"),
+            u0=u0, b=b, r=0.5, lip_f=c2,
+        )
+        errors = sup_errors(problem, partial(delay_steps_solution, 0.5, c1, c2, lag, u0))
+        ratios = errors[:-1] / errors[1:]
+        assert np.all(ratios >= 3.5), (errors, ratios)
+        if (lag, u0) == (0.5, 1.0):  # the uhml_suite problem
+            assert errors[-1] <= 2e-9
+
+    def test_regular_origin_below_gamma_one(self):
+        # u0 = 0, gamma = 0.75: F = 1 + 0.05 u is regular at 0, u = x^a E_{a,a+1}(0.05 x^a)
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=0.5, beta=0.5),
+            psi=catalog.make_psi("exponential"),
+            f=catalog.make_f("linear", c0=1.0, c1=0.05),
+            h_kernel=None,
+            g=catalog.make_g("no_delay"),
+            phi=catalog.make_phi("constant", value=1.0),
+            u0=0.0, b=1.0, r=0.5, lip_f=0.05,
+        )
+
+        def exact(t):
+            x = np.expm1(t)
+            return x**0.75 * ml_series(0.5, 1.5, 0.05 * x**0.5)  # w = x^(1 - gamma) u
+
+        errors = sup_errors(problem, exact)
+        assert np.all(errors[:-1] / errors[1:] >= 3.5), errors
 
 
 class TestSolveConfig:

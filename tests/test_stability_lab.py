@@ -210,19 +210,22 @@ STACK_PERTURBATIONS = [
     Perturbation(epsilon=10.0, shape="square_wave"),
     Perturbation(epsilon=1e3, shape="smooth_random", seed=3),
 ]
-STACK_CASES = ["uhml_suite", "worked", "gamma_exp_psi", "uniform_in_t", "scaled_sin"]
+STACK_CASES = ["uhml_suite", "worked", "gamma_exp_psi", "uniform_in_t", "scaled_sin",
+               "gamma_one_exp_psi"]
 
 
 def stack_case(name):
     """(problem, config) of one stacked-run case, see TestStackedRun."""
     if name == "worked":  # its linear h runs the Volterra batch once per row
         return make_worked_problem(), SolveConfig(grid_size=160)
-    exp_psi = name in ("gamma_exp_psi", "uniform_in_t")
+    exp_psi = name in ("gamma_exp_psi", "uniform_in_t", "gamma_one_exp_psi")
     f = (catalog.make_f("scaled_sin", amplitude=0.05) if name == "scaled_sin"
          else catalog.make_f("linear", c1=0.05, c2=0.05))
     problem = DelayFFIDE(
-        # gamma = 0.8 with u0 != 0 takes the starting weights
-        order=FractionalOrder(alpha=0.6, beta=0.5) if exp_psi else FractionalOrder(0.5, 1.0),
+        # gamma = 0.8 with u0 != 0 takes the starting weights; gamma = 1 on exponential psi
+        # reads u between nodes and breaks off the grid, so it fits the origin powers there
+        order=(FractionalOrder(alpha=0.6, beta=0.5) if name in ("gamma_exp_psi", "uniform_in_t")
+               else FractionalOrder(0.5, 1.0)),
         psi=catalog.make_psi("exponential" if exp_psi else "identity"),
         f=f, h_kernel=None,
         g=catalog.make_g("constant_lag", lag=0.5),
