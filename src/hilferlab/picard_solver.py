@@ -20,25 +20,25 @@ it does. The workspace fixes, once per solve: the probe stage
 (:func:`hilferlab.psi_calculus.probe`) of every time at which F reads u,
 that is g(t_0..t_N) and, with a Volterra kernel, the (N+1, M+1)
 quadrature times and their delays, and the powers x^(1-gamma) and
-x^(gamma-1) of the nodes (with gamma = 1 both are 1, and no pass applies
-them). Without delay (g(t) = t at every node) F reads u(s) itself. A
-probed time <= 0 reads u = phi exactly, by one call of phi. A sweep
-recomputes only what depends on the iterate: u at the probed times (one
-interpolation and one multiply each), f and h, the fractional integral
-(one rfft and one irfft of the stack; the kernel spectrum and starting
-weights are memoized on the grid), and the new node values, in place in
-the integral's fresh array. The loop runs on arrays of node values and
-builds one Trajectory at the end.
+x^(gamma-1) of the nodes. Without delay (g(t) = t at every node) F reads
+u(s) itself. A probed time <= 0 reads u = phi exactly, by one call of
+phi. A sweep recomputes only what depends on the iterate: u at the
+probed times (one interpolation and one multiply each), f and h, the
+fractional integral (one rfft and one irfft of the stack; the kernel
+spectrum and starting weights are memoized on the grid), and the new
+node values, in place in the integral's fresh array. The loop runs on
+arrays of node values and builds one Trajectory at the end.
 
 Where F is finite at the origin (gamma = 1 or u0 = 0) the product
 trapezoid alone is first order: F carries powers x^q at 0 and, past the
 first breaking point xi of g (g(xi) = 0 < g(t) after it), powers
 (x - x_xi)^q and a jump where phi(0) != u(0+). The workspace finds xi
-from g, sets up the power fits once per solve and takes their correction
-columns from the grid; each sweep fits the coefficients to the samples
-of F next to each point and adds the columns, and F reads u(g(t))
-through the fitted origin powers. The same sweeps are then second
-order (Lubich's correction, Bellen & Zennaro's breaking points).
+from g and takes the power fits and their correction columns from the
+grid (each built once per grid); each sweep fits the coefficients to
+the samples of F next to each point and adds the columns, as the origin
+hint adds its starting weights, and F reads u(g(t)) through the fitted
+origin powers. The same sweeps are then second order (Lubich's
+correction, Bellen & Zennaro's breaking points).
 
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
@@ -67,14 +67,15 @@ from .errors import DivergenceError
 from .problem_model import check_bielecki  # noqa: F401  (unused; bench/spans.py wraps this name)
 from .problem_model import DelayFFIDE, check_theta, validate_problem
 from .psi_calculus import (
+    Correction,
     Grid,
     Trajectory,
+    add_corrections,
     frac_integral_grid,
     make_grid,
-    origin_fit,
+    node_fit,
     power_columns,
     power_exponents,
-    power_fit,
     probe,
 )
 from .special_functions import gamma as gamma_fn
@@ -236,7 +237,7 @@ def _origin_fit(problem: DelayFFIDE, grid: Grid) -> tuple[list, np.ndarray]:
     """
     if problem.order.gamma < 1.0 and problem.u0 != 0.0:
         return [], np.zeros((0, 0))
-    return origin_fit(grid, power_exponents(problem.order.alpha))
+    return node_fit(grid, power_exponents(problem.order.alpha))
 
 
 class _Workspace:
@@ -257,14 +258,16 @@ class _Workspace:
     sweep fits the coefficients of the non-integer powers, of the jump
     and, off the grid, of the kink (x - x_xi)_+, from the samples of F
     next to each point, and adds as many correction columns
-    (:func:`~hilferlab.psi_calculus.power_columns`) to the integral.
+    (:func:`~hilferlab.psi_calculus.power_columns`) to the integral: one
+    :class:`~hilferlab.psi_calculus.Correction` per point, applied as the
+    origin hint's starting weights are.
     """
 
     def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
         self.problem = problem
         self.grid = grid
         gamma = problem.order.gamma
-        self.weight = None if gamma == 1.0 else grid.x ** (1.0 - gamma)  # x^0 = 1 needs no pass
+        self.weight = grid.x ** (1.0 - gamma)
         self.unweight = np.concatenate(([float(gamma == 1.0)], grid.x[1:] ** (gamma - 1.0)))
         self.w_init = problem.u0 / gamma_fn(gamma)
         # The right-hand side inherits the solution's x^(gamma-1) blow-up only
@@ -276,37 +279,37 @@ class _Workspace:
         lags = np.asarray(problem.g(grid.nodes), dtype=float)
         probe_at = partial(probe, grid, problem.psi, gamma, problem.phi)
         self.rhs = _rhs(problem, probe_at, grid.nodes, lags, subdivisions, self.origin_powers)
-        # F's samples at fit_nodes, weighted by a row of fit_weights, give the
-        # coefficient of the matching (first node, column) of columns
-        self.fit_nodes, self.fit_weights = np.zeros(0, dtype=int), np.zeros((0, 0))
-        self.columns: list[tuple[int, np.ndarray]] = []
-        if powers:
-            self._corrections(powers, inverse, lags)
+        self.corrections = self._corrections(powers, inverse, lags) if powers else []
 
-    def _add_columns(self, nodes: np.ndarray, weights: np.ndarray, columns, start: int) -> None:
-        """Fit each row of ``weights`` from F at ``nodes``; its column adds from node ``start``."""
-        m = self.fit_nodes.size
-        self.fit_nodes = np.concatenate((self.fit_nodes, nodes))
-        fit = np.zeros((self.fit_weights.shape[0] + len(weights), self.fit_nodes.size))
-        fit[: -len(weights), :m] = self.fit_weights
-        fit[-len(weights):, m:] = weights
-        self.fit_weights = fit
-        self.columns += [(start, column) for column in columns]
-
-    def _corrections(self, powers: list, inverse: np.ndarray, lags: np.ndarray) -> None:
-        """The origin's and xi's fits and columns (see the class docstring)."""
+    def _corrections(self, powers: list, inverse: np.ndarray, lags: np.ndarray) -> list:
+        """The origin's and xi's fits and correction columns (see the class docstring)."""
         problem, grid = self.problem, self.grid
         alpha, x, n = problem.order.alpha, grid.x, grid.n_intervals
+        # (first node of the columns, fit nodes, fit, (q, shift) of each column,
+        # nodes the columns move on); a fit row maps F at the fit nodes to the
+        # coefficient of its column
+        groups = []
         # the origin: F ~ sum_q a_q x^q, fitted from the samples at nodes 0..J-1
         odd = [i for i, q in enumerate(powers) if q != round(q)]
         if odd:
             qs = [powers[i] for i in odd]
-            weights = inverse[odd] / x[len(powers) - 1] ** np.array(qs)[:, None]
-            columns = power_columns(grid, alpha, qs)[:, 1:]
-            self._add_columns(np.arange(len(powers)), weights, columns, 1)
+            fit = inverse[odd] / x[len(powers) - 1] ** np.array(qs)[:, None]
+            groups.append((1, np.arange(len(powers)), fit, [(q, 0.0) for q in qs], 0))
+        groups += self._breaking_point_group(lags)
+        terms = list(dict.fromkeys(term for group in groups for term in group[3]))
+        rows = dict(zip(terms, power_columns(grid, alpha, terms))) if terms else {}
+        # moved on, the columns' node first reads node first - moved
+        return [Correction(first, nodes, fit,
+                           np.array([rows[term][first - moved : n + 1 - moved] for term in own]))
+                for first, nodes, fit, own, moved in groups]
+
+    def _breaking_point_group(self, lags: np.ndarray) -> list:
+        """The fit and columns past the first breaking point xi of g, as one group, or none."""
+        problem, grid = self.problem, self.grid
+        alpha, x, n = problem.order.alpha, grid.x, grid.n_intervals
         point = _breaking_point(problem, grid, lags)
         if point is None:
-            return
+            return []
         x_xi, k = point
         on_grid = x_xi == x[k - 1]
         # past xi: F minus its left side's quadratic extrapolation is
@@ -317,11 +320,11 @@ class _Workspace:
         exponents = [0.0] * jump + [q for q in power_exponents(alpha) if q > 0.0]
         first = k + (not on_grid)
         if k < 3 or first + len(exponents) > n + 1:
-            return
-        kept, inverse = power_fit(x[first:] - x_xi, exponents)
+            return []
+        kept, inverse = node_fit(grid, exponents, first, x_xi)
         apply = [i for i, q in enumerate(kept) if q != round(q) or q == 0.0 or not on_grid]
         if not apply:
-            return
+            return []
         qs = [kept[i] for i in apply]
         right, left = np.arange(first, first + len(kept)), np.arange(k - 3, k)
         # the Lagrange weights of the quadratic through the left samples, at the right nodes
@@ -329,20 +332,18 @@ class _Workspace:
         extrap = np.array([[math.prod((xr - xl[b]) / (xl[a] - xl[b]) for b in range(3) if b != a)
                             for a in range(3)] for xr in x[right].tolist()])
         fit = inverse[apply]
-        weights = np.hstack((fit, -(fit[:, :, None] * extrap).sum(1)))
-        weights /= (x[right[-1]] - x_xi) ** np.array(qs)[:, None]
+        fit = np.hstack((fit, -(fit[:, :, None] * extrap).sum(1)))
+        fit /= (x[right[-1]] - x_xi) ** np.array(qs)[:, None]
         if on_grid and grid.psi_uniform:  # the columns at 0, moved k - 1 nodes on
-            columns = power_columns(grid, alpha, qs)[:, 1 : n + 2 - k]
-        else:
-            columns = power_columns(grid, alpha, qs, x_xi)[:, k:]
-        self._add_columns(np.concatenate((right, left)), weights, columns, k)
+            return [(k, np.concatenate((right, left)), fit, [(q, 0.0) for q in qs], k - 1)]
+        return [(k, np.concatenate((right, left)), fit, [(q, x_xi) for q in qs], 0)]
 
     def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
         """The fixed-point map on node values, one row or a (P, N+1) stack; F gets ``forcing``."""
         # blow-up is detected and raised explicitly, so numpy's overflow
         # warnings during the doomed evaluation are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = self.rhs(w_nodes, w_nodes if self.weight is None else w_nodes * self.unweight)
+            samples = self.rhs(w_nodes, w_nodes * self.unweight)
             if forcing is not None:
                 samples = samples + forcing
             if not np.all(np.isfinite(samples)):
@@ -350,16 +351,8 @@ class _Workspace:
             integral = frac_integral_grid(
                 self.problem.order.alpha, self.problem.psi, samples, self.grid, self.origin_hint
             )
-            if self.columns:
-                # each row's fits sum in a fixed order (cumsum is sequential) and its
-                # columns are added row by row, so a stacked row rounds as alone
-                data = samples.reshape(-1, samples.shape[-1])[:, None, self.fit_nodes]
-                coefs = np.cumsum(data * self.fit_weights, axis=-1)[..., -1].tolist()
-                for row, coef in zip(integral.reshape(-1, integral.shape[-1]), coefs):
-                    for (start, column), c in zip(self.columns, coef):
-                        row[start:] += column * c
-            if self.weight is not None:
-                integral *= self.weight  # in place: the integral is fresh, of the stack's shape
+            add_corrections(integral, samples, self.corrections)
+            integral *= self.weight  # in place: the integral is fresh, of the stack's shape
             return np.add(integral, self.w_init, out=integral)  # I = 0 at node 0
 
 

@@ -23,6 +23,8 @@ finite but carries powers ``(x - x_xi)_+^q`` at a point xi (q from
 :func:`power_exponents`, the powers the rule integrates below second
 order) is made exact on them by correction columns (:func:`power_columns`),
 added with coefficients fitted to its samples next to xi (:func:`power_fit`).
+Starting weights and fitted columns are both a :class:`Correction`, which
+:func:`add_corrections` adds to the rule's result.
 
 Evaluating a trajectory at fixed times has two stages: :func:`probe` does
 the work that depends on the times alone, once, and returns the apply
@@ -36,18 +38,18 @@ Every function here is deterministic and safe to call concurrently. The
 one piece of state is a cache of quadrature weights on each
 :class:`Grid`: the grid-only part of the fractional integral (the kernel
 spectrum of the convolution path, the starting weights, the correction
-columns and the power fits at the first nodes), built on first use for
-each key and reused by every later call on that grid, such as each
-sweep of a Picard solve (one rfft and one irfft of its stack). An entry
-is a pure function of the grid and its key, so a race between threads
-only computes the same weights twice.
+columns and the power fits at the origin and at other points), built on
+first use for each key and reused by every later call on that grid,
+such as each sweep of a Picard solve (one rfft and one irfft of its
+stack). An entry is a pure function of the grid and its key, so a race
+between threads only computes the same weights twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -245,6 +247,10 @@ class Trajectory:
 #: Largest condition number of a scaled power fit (:func:`power_fit`).
 _FIT_COND = 1e6
 
+#: Most powers :func:`power_exponents` offers a fit: the integers and the
+#: six smallest others (no fit on a grid of 200-4000 nodes keeps more than 6).
+_MAX_POWERS = 8
+
 
 def power_exponents(alpha: float) -> list[float]:
     """The powers q = j alpha + k (j, k >= 0) with q + alpha < 2: 0 and 1, then the rest ascending.
@@ -254,21 +260,25 @@ def power_exponents(alpha: float) -> list[float]:
     Coincident members (alpha = 1/2 gives 2 alpha = 1) count once, as the
     integer. The integers lead, so a fit that must drop powers
     (:func:`power_fit`) keeps them, and stays exact on a smooth integrand.
+    At most ``_MAX_POWERS`` are returned; the smallest of them all have
+    j <= 2 _MAX_POWERS, so only those are formed, whatever alpha.
     """
     found: list[float] = []
-    for j in range(int(2.0 / alpha) + 1):
+    for j in range(min(int(2.0 / alpha), 2 * _MAX_POWERS) + 1):
         for k in (0, 1):
             q = j * alpha + k
             q = float(round(q)) if abs(q - round(q)) < 1e-9 else q
             if q + alpha < 2.0 and all(abs(q - p) >= 1e-9 for p in found):
                 found.append(q)
-    return sorted(found, key=lambda q: (q != round(q), q))
+    return sorted(found, key=lambda q: (q != round(q), q))[:_MAX_POWERS]
 
 
 def _inverse(a: list) -> list:
     """The inverse of a small square matrix of floats: Gauss-Jordan with partial pivoting.
 
-    A singular matrix gives an inverse of nans.
+    A singular matrix gives an inverse of nans. The fits use this, not
+    ``np.linalg.inv``, whose first LAPACK call adds about 1.3 MB to a
+    solve's peak memory.
     """
     n = len(a)
     rows = [list(row) + [float(i == r) for i in range(n)] for r, row in enumerate(a)]
@@ -287,29 +297,36 @@ def _inverse(a: list) -> list:
 def power_fit(points: np.ndarray, exponents) -> tuple[list[float], np.ndarray]:
     """(powers kept, inverse) of fitting sum_q c_q (p/p_J)^q to samples at the first J points.
 
-    J is the number of powers kept: the longest prefix of ``exponents``
-    whose matrix of powers, scaled to 1 at the J-th point, has a condition
-    number (in the max-row-sum norm) of at most ``_FIT_COND``; the scaling
-    keeps it independent of the grid step. Row q of the inverse maps the J
-    samples to c_q.
+    J is the number of powers kept: the prefix of ``exponents`` grows one
+    power at a time while its matrix of powers, scaled to 1 at the J-th
+    point, has a condition number (in the max-row-sum norm) of at most
+    ``_FIT_COND``; the scaling keeps it independent of the grid step. Row
+    q of the inverse maps the J samples to c_q.
     """
     exponents = [float(q) for q in exponents]
-    for j in range(min(len(exponents), len(points)), 0, -1):
+    kept, inverse = [], []
+    for j in range(1, min(len(exponents), len(points)) + 1):
         at = points[:j].tolist()
-        powers = [[(p / at[-1]) ** q for q in exponents[:j]] for p in at]
-        inverse = _inverse(powers)
+        powers = [[(p / (at[-1] or 1.0)) ** q for q in exponents[:j]] for p in at]
+        trial = _inverse(powers)
         norm = max(sum(map(abs, row)) for row in powers)
-        if norm * max(sum(map(abs, row)) for row in inverse) <= _FIT_COND:
-            return exponents[:j], np.array(inverse)
-    return [], np.zeros((0, 0))
+        if not norm * max(sum(map(abs, row)) for row in trial) <= _FIT_COND:  # nan too
+            break
+        kept, inverse = exponents[:j], trial
+    return kept, np.array(inverse).reshape(len(kept), len(kept))
 
 
-def origin_fit(grid: Grid, exponents) -> tuple[list[float], np.ndarray]:
-    """:func:`power_fit` at the grid's first nodes, cached on the grid for each set of powers."""
-    key = ("fit", tuple(exponents))
+def node_fit(
+    grid: Grid, exponents, first: int = 0, shift: float = 0.0
+) -> tuple[list[float], np.ndarray]:
+    """:func:`power_fit` at the nodes from ``first`` on, measured from x = ``shift``.
+
+    Cached on the grid for each ``(exponents, first, shift)``.
+    """
+    key = ("fit", tuple(exponents), first, float(shift))
     found = grid._weights.get(key)
     if found is None:
-        found = grid._weights.setdefault(key, power_fit(grid.x, exponents))
+        found = grid._weights.setdefault(key, power_fit(grid.x[first:] - shift, exponents))
     return found
 
 
@@ -328,7 +345,7 @@ def probe(
 
     With ``origin_powers`` (J powers q of u = sum_q b_q x^q + ... at
     0+), u at nodes 0..J-1 (u(0+) = w0 when gamma = 1, else 0) is fitted by
-    sum_q b_q x^q (:func:`origin_fit`), and each b_q times the
+    sum_q b_q x^q (:func:`node_fit`), and each b_q times the
     interpolation's error on x^q is added back: the read is then exact on
     those powers, where plain interpolation errs by O(h^q) next to 0. The
     probe stage fixes the errors; the apply stage fits b once per row.
@@ -342,10 +359,10 @@ def probe(
     known = np.broadcast_to(np.asarray(phi(times[past]), dtype=float), np.count_nonzero(past))
     future = ~past
     xq = np.asarray(psi.shifted(times[future]), dtype=float)
-    scale = None if gamma == 1.0 else xq ** (gamma - 1.0)  # x^0 = 1 needs no pass
+    scale = xq ** (gamma - 1.0)
     x_nodes, shape = grid.x, times.shape
     terms = []  # (weights on w at nodes 0..J-1, interpolation error) per fitted power
-    powers, inverse = origin_fit(grid, origin_powers)
+    powers, inverse = node_fit(grid, origin_powers)
     j = len(powers)
     if j:
         to_u = np.concatenate(([float(gamma == 1.0)], x_nodes[1:j] ** (gamma - 1.0)))
@@ -356,18 +373,14 @@ def probe(
             # on x^q, w = x^(q+1-gamma): its interpolation is exact when that is 0 or 1
             if off.size and not (gamma == 1.0 and q == round(q)):
                 at = xq[off]
-                shown = np.interp(at, x_nodes, x_nodes ** (q + 1.0 - gamma))
-                if scale is not None:
-                    shown *= scale[off]
+                shown = np.interp(at, x_nodes, x_nodes ** (q + 1.0 - gamma)) * scale[off]
                 terms.append((row * to_u / x_nodes[j - 1] ** q, at ** q - shown))
 
     def apply(w_nodes: np.ndarray) -> np.ndarray:
         out = np.empty(np.shape(w_nodes)[:-1] + shape)
         for row, w in zip(out.reshape(-1, *shape), np.reshape(w_nodes, (-1, x_nodes.size))):
             row[past] = known
-            u = np.interp(xq, x_nodes, w)
-            if scale is not None:
-                u *= scale
+            u = np.interp(xq, x_nodes, w) * scale
             for weights, error in terms:
                 u[off] += error * (weights * w[:j]).sum()
             row[future] = u
@@ -474,19 +487,24 @@ def _power_rule(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
     return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
 
 
-def _power_residuals(alpha: float, x: np.ndarray, kernel, sigmas, shift: float = 0.0) -> np.ndarray:
-    """(J, N+1): the power rule minus the product trapezoid of (x - shift)_+^(sigma-1), each sigma.
+def _power_residuals(alpha: float, x: np.ndarray, kernel, sigmas, shifts) -> np.ndarray:
+    """(J, N+1): the power rule minus the product trapezoid of (x - shift)_+^(sigma-1), per row.
 
-    Nodes at or left of ``shift`` carry the sample 0 (so the power 0 is a
-    unit step just right of ``shift``), and their rows are exactly 0.
+    Row j takes ``sigmas[j]`` and ``shifts[j]``; all rows share one
+    quadrature call. Nodes at or left of a row's shift carry the sample 0
+    (so the power 0 is a unit step just right of it), and the row is
+    exactly 0 there.
     """
-    k = int(np.searchsorted(x, shift, side="right"))  # the first node right of shift
-    y = x[k:] - shift
     basis = np.zeros((len(sigmas), x.size))
-    basis[:, k:] = y ** (np.asarray(sigmas)[:, None] - 1.0)
     residual = np.zeros_like(basis)
-    residual[:, k:] = np.array([_power_rule(alpha, sigma, y) for sigma in sigmas])
-    residual[:, k:] -= _product_trapezoid(alpha, x, kernel, basis)[:, k:]
+    firsts = np.searchsorted(x, shifts, side="right")  # the first node right of each shift
+    for row, res, sigma, shift, k in zip(basis, residual, sigmas, shifts, firsts.tolist()):
+        y = x[k:] - shift
+        row[k:] = np.power(y, sigma - 1.0)  # not **, which takes sqrt at a scalar 1/2
+        res[k:] = _power_rule(alpha, sigma, y)
+    trapezoid = _product_trapezoid(alpha, x, kernel, basis)
+    for res, rule, k in zip(residual, trapezoid, firsts.tolist()):
+        res[k:] -= rule[k:]
     return residual
 
 
@@ -502,7 +520,7 @@ def _starting_weights(alpha: float, x: np.ndarray, rho: float, kernel) -> np.nda
     """
     j = min(3, x.size - 1)
     sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
-    residual = _power_residuals(alpha, x, kernel, sigmas)[:, 1:]
+    residual = _power_residuals(alpha, x, kernel, sigmas, np.zeros(j))[:, 1:]
     powers = x[1 : j + 1] ** (sigmas[:, None] - 1.0)  # row e: x_1..x_J
     scale = 1.0 / powers[:, -1]
     return np.linalg.inv(powers * scale[:, None]) @ (residual * scale[:, None])
@@ -520,26 +538,61 @@ def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
     return found
 
 
-def power_columns(grid: Grid, alpha: float, exponents, shift: float = 0.0) -> np.ndarray:
-    """Correction columns of I^alpha at a non-smooth point of the integrand, cached on the grid.
+def power_columns(grid: Grid, alpha: float, terms) -> np.ndarray:
+    """Correction columns of I^alpha at non-smooth points of the integrand, cached on the grid.
 
-    Row q is I^alpha of (x - shift)_+^q by the power rule minus the product
-    trapezoid of its samples, at every node: adding c times it to the rule
-    makes the rule exact on a term c (x - shift)_+^q of the integrand. The
-    samples are 0 at and left of ``shift``, so the power 0 is a unit jump
-    just right of it. On a psi-uniform grid the rule is translation
-    invariant: the columns at a node x_k are those at 0 moved k nodes on.
-    Like the kernel spectrum, the columns are built on first use for each
-    ``(alpha, exponents, shift)`` and reused by every later call.
+    ``terms`` lists pairs (q, shift). Row j is I^alpha of (x - shift)_+^q
+    of the j-th pair by the power rule minus the product trapezoid of its
+    samples, at every node: adding c times it to the rule makes the rule
+    exact on a term c (x - shift)_+^q of the integrand. The samples are 0
+    at and left of ``shift``, so the power 0 is a unit jump just right of
+    it. All rows take one quadrature call, which on a grid that is not
+    psi-uniform shares each block's panel moments. On a psi-uniform grid
+    the rule is translation invariant: the columns at a node x_k are those
+    at 0 moved k nodes on. Like the kernel spectrum, the columns are built
+    on first use for each ``(alpha, terms)`` and reused by every later call.
     """
-    key = ("columns", float(alpha), tuple(exponents), float(shift))
+    terms = tuple((float(q), float(shift)) for q, shift in terms)
+    key = ("columns", float(alpha), terms)
     found = grid._weights.get(key)
     if found is None:
         kernel, _ = _grid_weights(grid, float(alpha), None)
-        sigmas = np.asarray(exponents, dtype=float) + 1.0
-        columns = _power_residuals(alpha, grid.x, kernel, sigmas, shift)
+        sigmas, shifts = (np.array(column) for column in zip(*terms))
+        columns = _power_residuals(alpha, grid.x, kernel, sigmas + 1.0, shifts)
         found = grid._weights.setdefault(key, columns)
     return found
+
+
+class Correction(NamedTuple):
+    """Columns added to a product-trapezoid integral, with coefficients read from its samples.
+
+    The coefficient of ``columns[c]`` is ``sum_m fit[c, m] samples[nodes[m]]``,
+    or ``samples[nodes[c]]`` itself when ``fit`` is None (the starting
+    weights of the origin hint); column c adds from node ``first`` on.
+    """
+
+    first: int
+    nodes: np.ndarray
+    fit: Optional[np.ndarray]
+    columns: np.ndarray
+
+
+def add_corrections(out: np.ndarray, samples: np.ndarray, corrections) -> None:
+    """Add each :class:`Correction` of ``samples`` to the integral ``out``, in place.
+
+    ``samples`` and ``out`` are one row (N+1,) or a (P, N+1) stack. The
+    fit's sums run over the nodes in order (``cumsum`` is sequential), and
+    each row then takes one multiply-add per column, so a stacked row
+    rounds as alone.
+    """
+    for first, nodes, fit, columns in corrections:
+        coefs = samples[..., nodes]
+        if fit is not None:
+            coefs = np.cumsum(coefs[..., None, :] * fit, axis=-1)[..., -1]
+        rows = out.reshape(-1, out.shape[-1])
+        for row, coef in zip(rows, coefs.reshape(-1, len(columns)).tolist()):
+            for column, c in zip(columns, coef):
+                row[first:] += column * c
 
 
 def frac_integral_grid(
@@ -595,9 +648,7 @@ def frac_integral_grid(
         data = w.copy()
         data[..., 0] = 0.0
         out = _product_trapezoid(alpha, x, kernel, data)
-        # one multiply-add per weighted sample: elementwise, so a stacked row rounds as alone
-        for e, weights in enumerate(start):
-            out[..., 1:] += weights * w[..., e + 1 : e + 2]
+        add_corrections(out, w, [Correction(1, np.arange(1, len(start) + 1), None, start)])
 
     out[..., 0] = 0.0
     return out

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -20,7 +21,7 @@ from hilferlab import (
     trajectory_values,
 )
 from hilferlab.picard_solver import _Workspace, grid_for
-from hilferlab.psi_calculus import probe
+from hilferlab.psi_calculus import power_exponents, probe
 
 from conftest import delay_steps_solution, make_linear_problem, ml_series
 
@@ -188,11 +189,28 @@ class TestBatchedVolterra:
              for s in t_int]
         )
         # F reads u(g(t)) through the solver's fit of the origin powers
-        lagged = probe(grid, problem.psi, gamma, problem.phi, problem.g(t_int), ws.origin_powers)
-        expected = problem.f(
-            t_int, traj.unweight(traj.weighted_values), lagged(w_nodes), inner
-        )
+        lag_t = problem.g(t_int)
+        lagged = probe(grid, problem.psi, gamma, problem.phi, lag_t, ws.origin_powers)(w_nodes)
+        expected = problem.f(t_int, traj.unweight(traj.weighted_values), lagged, inner)
         assert np.array_equal(samples[1:], expected)
+        # that read is the plain one plus b_q times the plain read's error on x^q, with
+        # sum_q b_q x^q fitted to u at nodes 0..J-1
+        plain = u_of(lag_t)
+        independent, coefs = plain.copy(), np.zeros(0)
+        if ws.origin_powers:
+            qs = np.array(ws.origin_powers)
+            xs = grid.x[: qs.size]
+            u_fit = np.concatenate(([traj.initial_weight if gamma == 1.0 else 0.0],
+                                    traj.weighted_values[: qs.size - 1] * xs[1:] ** (gamma - 1.0)))
+            coefs = np.linalg.solve(xs[:, None] ** qs, u_fit)
+            ahead = lag_t > 0.0
+            xl = problem.psi.shifted(lag_t[ahead])
+            for q, b in zip(qs, coefs):
+                read = xl ** (gamma - 1.0) * np.interp(xl, grid.x, grid.x ** (q + 1.0 - gamma))
+                independent[ahead] += b * (xl ** q - read)
+            assert np.max(np.abs(lagged - plain)) > 1e-8
+        # each term b_q (x^q - read) rounds to about |b_q| ulps of x^q <= 1
+        assert np.max(np.abs(lagged - independent)) <= 1e-15 * (1.0 + np.abs(coefs).sum())
 
         i = 137
         assert eval_F(problem, traj, t_int[i], SolveConfig()) == pytest.approx(
@@ -573,6 +591,25 @@ class TestSecondOrder:
 
         errors = sup_errors(problem, exact)
         assert np.all(errors[:-1] / errors[1:] >= 3.5), errors
+
+    @pytest.mark.parametrize("alpha", [0.01, 1e-3])
+    def test_small_alpha_solves_quickly(self, alpha):
+        # the powers offered are bounded and the fit grows them only while it is well
+        # conditioned, so a small alpha costs a delay solve no more than alpha = 1/2
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=alpha, beta=1.0),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c1=0.05, c2=0.05),
+            h_kernel=None,
+            g=catalog.make_g("constant_lag", lag=0.5),
+            phi=catalog.make_phi("cosine"),
+            u0=1.0, b=1.0, r=0.5, lip_f=0.05,
+        )
+        assert len(power_exponents(alpha)) <= 8
+        start = time.perf_counter()
+        result = solve(problem, SolveConfig(grid_size=500))
+        assert time.perf_counter() - start < 2.0
+        assert result.converged
 
 
 class TestSolveConfig:

@@ -593,6 +593,34 @@ class TestTrajectoryEvaluation:
             assert np.array_equal(got[future].view(np.int64), single.view(np.int64))
             assert np.array_equal(got[~future], np.cos(times[~future]))
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.75])
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    def test_probe_is_exact_on_the_origin_powers(self, gamma, uniform_in):
+        # u = sum_q b_q x^q over the powers of alpha = 1/2 (0, 1, 1/2; b_0 = u(0+), which is
+        # 0 when gamma < 1) is read exactly off the nodes: plain interpolation of w errs
+        # there by O(h^(1/2)) next to 0
+        psi = catalog.make_psi("exponential")
+        grid = make_grid(psi, 1.0, 200, 0.5, uniform_in=uniform_in)
+        powers = psi_calculus.power_exponents(0.5)
+        coefs = {0.0: 0.7 if gamma == 1.0 else 0.0, 1.0: -1.3, 0.5: 2.1}
+
+        def u(x):
+            return sum(c * x ** q for q, c in coefs.items())
+
+        nodes = grid.nodes
+        times = np.concatenate((
+            [-0.2, 0.0, 0.2 * nodes[1], 0.7 * nodes[1]], nodes[1:],
+            0.5 * (nodes[1:-1] + nodes[2:]), 0.3 * nodes[1:-1] + 0.7 * nodes[2:],
+        ))
+        w_nodes = grid.x ** (1.0 - gamma) * u(grid.x)
+        got = psi_calculus.probe(grid, psi, gamma, np.cos, times, powers)(w_nodes)
+        plain = psi_calculus.probe(grid, psi, gamma, np.cos, times)(w_nodes)
+        future = times > 0.0
+        want = u(psi.shifted(times[future]))
+        assert np.max(np.abs(got[future] - want)) <= 1e-14
+        assert np.max(np.abs(plain[future] - want)) > 1e-4
+        assert np.array_equal(got[~future], np.cos(times[~future]))
+
     def test_below_history_window(self, identity_psi):
         grid = make_grid(identity_psi, 1.0, 4, 1.0)
         traj = Trajectory(
