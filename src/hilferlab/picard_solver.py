@@ -25,8 +25,8 @@ u(s) itself. A probed time <= 0 reads u = phi exactly, by one call of
 phi. A sweep recomputes only what depends on the iterate: u at the
 probed times (one interpolation and one multiply each), f and h, the
 fractional integral (one rfft and one irfft of the stack; the kernel
-spectrum and starting weights are memoized on the grid), and the new
-node values, in place in the integral's fresh array. The loop runs on
+spectrum and the origin hint's correction are memoized on the grid),
+and the new node values, in place in the integral's fresh array. The loop runs on
 arrays of node values and builds one Trajectory at the end.
 
 Where F is finite at the origin (gamma = 1 or u0 = 0) the product
@@ -34,11 +34,11 @@ trapezoid alone is first order: F carries powers x^q at 0 and, past the
 first breaking point xi of g (g(xi) = 0 < g(t) after it), powers
 (x - x_xi)^q and a jump where phi(0) != u(0+). The workspace finds xi
 from g and takes the power fits and their correction columns from the
-grid (each built once per grid); each sweep fits the coefficients to
-the samples of F next to each point and adds the columns, as the origin
-hint adds its starting weights, and F reads u(g(t)) through the fitted
-origin powers. The same sweeps are then second order (Lubich's
-correction, Bellen & Zennaro's breaking points).
+grid (each built once per grid, all columns in one call); each sweep
+fits the coefficients to the samples of F next to each point and adds
+the columns, as the origin hint does for its own powers, and F reads
+u(g(t)) through the fitted origin powers. The same sweeps are then
+second order (Lubich's correction, Bellen & Zennaro's breaking points).
 
 Iteration is a contraction whenever the smallness constant Theta of
 :mod:`hilferlab.problem_model` is below 1; the solver still runs outside
@@ -259,8 +259,8 @@ class _Workspace:
     and, off the grid, of the kink (x - x_xi)_+, from the samples of F
     next to each point, and adds as many correction columns
     (:func:`~hilferlab.psi_calculus.power_columns`) to the integral: one
-    :class:`~hilferlab.psi_calculus.Correction` per point, applied as the
-    origin hint's starting weights are.
+    :class:`~hilferlab.psi_calculus.Correction` per point, of the same
+    form as the origin hint's.
     """
 
     def __init__(self, problem: DelayFFIDE, grid: Grid, subdivisions: int):
@@ -284,24 +284,19 @@ class _Workspace:
     def _corrections(self, powers: list, inverse: np.ndarray, lags: np.ndarray) -> list:
         """The origin's and xi's fits and correction columns (see the class docstring)."""
         problem, grid = self.problem, self.grid
-        alpha, x, n = problem.order.alpha, grid.x, grid.n_intervals
-        # (first node of the columns, fit nodes, fit, (q, shift) of each column,
-        # nodes the columns move on); a fit row maps F at the fit nodes to the
-        # coefficient of its column
+        # (first node of the columns, fit nodes, fit, (q, shift) of each column);
+        # a fit row maps F at the fit nodes to the coefficient of its column
         groups = []
         # the origin: F ~ sum_q a_q x^q, fitted from the samples at nodes 0..J-1
         odd = [i for i, q in enumerate(powers) if q != round(q)]
         if odd:
-            qs = [powers[i] for i in odd]
-            fit = inverse[odd] / x[len(powers) - 1] ** np.array(qs)[:, None]
-            groups.append((1, np.arange(len(powers)), fit, [(q, 0.0) for q in qs], 0))
+            own = [(powers[i], 0.0) for i in odd]
+            groups.append((1, np.arange(len(powers)), inverse[odd], own))
         groups += self._breaking_point_group(lags)
         terms = list(dict.fromkeys(term for group in groups for term in group[3]))
-        rows = dict(zip(terms, power_columns(grid, alpha, terms))) if terms else {}
-        # moved on, the columns' node first reads node first - moved
-        return [Correction(first, nodes, fit,
-                           np.array([rows[term][first - moved : n + 1 - moved] for term in own]))
-                for first, nodes, fit, own, moved in groups]
+        rows = dict(zip(terms, power_columns(grid, problem.order.alpha, terms))) if terms else {}
+        return [Correction(first, nodes, fit, np.array([rows[term][first:] for term in own]))
+                for first, nodes, fit, own in groups]
 
     def _breaking_point_group(self, lags: np.ndarray) -> list:
         """The fit and columns past the first breaking point xi of g, as one group, or none."""
@@ -325,7 +320,6 @@ class _Workspace:
         apply = [i for i, q in enumerate(kept) if q != round(q) or q == 0.0 or not on_grid]
         if not apply:
             return []
-        qs = [kept[i] for i in apply]
         right, left = np.arange(first, first + len(kept)), np.arange(k - 3, k)
         # the Lagrange weights of the quadratic through the left samples, at the right nodes
         xl = x[left].tolist()
@@ -333,10 +327,7 @@ class _Workspace:
                             for a in range(3)] for xr in x[right].tolist()])
         fit = inverse[apply]
         fit = np.hstack((fit, -(fit[:, :, None] * extrap).sum(1)))
-        fit /= (x[right[-1]] - x_xi) ** np.array(qs)[:, None]
-        if on_grid and grid.psi_uniform:  # the columns at 0, moved k - 1 nodes on
-            return [(k, np.concatenate((right, left)), fit, [(q, 0.0) for q in qs], k - 1)]
-        return [(k, np.concatenate((right, left)), fit, [(q, x_xi) for q in qs], 0)]
+        return [(k, np.concatenate((right, left)), fit, [(kept[i], x_xi) for i in apply])]
 
     def sweep(self, w_nodes: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
         """The fixed-point map on node values, one row or a (P, N+1) stack; F gets ``forcing``."""

@@ -15,16 +15,18 @@ at ``x = X``.
 Solutions of the fractional problems treated here typically blow up like
 ``x^(gamma-1)`` at the origin, so trajectories store *weighted* values
 ``w(t) = x(t)^(1-gamma) u(t)`` at interior nodes and the finite limit of
-``w`` at ``t -> 0+`` separately. An optional ``origin_exponent`` hint
-``rho`` lets the quadrature integrate such data: starting weights on the
-first samples make it exact on ``x^(rho-1+e)``, e in {0, alpha, 2 alpha}
-(Lubich 1986, *Discretized fractional calculus*). An integrand that is
-finite but carries powers ``(x - x_xi)_+^q`` at a point xi (q from
-:func:`power_exponents`, the powers the rule integrates below second
-order) is made exact on them by correction columns (:func:`power_columns`),
-added with coefficients fitted to its samples next to xi (:func:`power_fit`).
-Starting weights and fitted columns are both a :class:`Correction`, which
-:func:`add_corrections` adds to the rule's result.
+``w`` at ``t -> 0+`` separately. Every correction of the quadrature is
+Lubich's (1986, *Discretized fractional calculus*): an integrand that
+carries powers ``(x - x_xi)_+^q`` at a point xi is made exact on them by
+correction columns (:func:`power_columns`), added with coefficients
+fitted to its samples next to xi (:func:`power_fit`); the two make a
+:class:`Correction`, which :func:`add_corrections` adds to the rule's
+result. An optional ``origin_exponent`` hint ``rho`` lets the quadrature
+integrate data that blow up at the origin: the powers are then
+``x^(rho-1+e)``, e in {0, alpha, 2 alpha}. A solve whose integrand is
+finite there takes the powers of :func:`power_exponents`, those the rule
+integrates below second order, at the origin and at a delay's first
+breaking point.
 
 Evaluating a trajectory at fixed times has two stages: :func:`probe` does
 the work that depends on the times alone, once, and returns the apply
@@ -37,12 +39,13 @@ solve probes its times once and applies every sweep.
 Every function here is deterministic and safe to call concurrently. The
 one piece of state is a cache of quadrature weights on each
 :class:`Grid`: the grid-only part of the fractional integral (the kernel
-spectrum of the convolution path, the starting weights, the correction
-columns and the power fits at the origin and at other points), built on
-first use for each key and reused by every later call on that grid,
-such as each sweep of a Picard solve (one rfft and one irfft of its
-stack). An entry is a pure function of the grid and its key, so a race
-between threads only computes the same weights twice.
+spectrum of the convolution path, the correction columns, the power fits
+at the origin and at other points, and the origin hint's
+:class:`Correction`), built on first use for each key and reused by
+every later call on that grid, such as each sweep of a Picard solve
+(one rfft and one irfft of its stack). An entry is a pure function of
+the grid and its key, so a race between threads only computes the same
+weights twice.
 """
 
 from __future__ import annotations
@@ -277,8 +280,7 @@ def _inverse(a: list) -> list:
     """The inverse of a small square matrix of floats: Gauss-Jordan with partial pivoting.
 
     A singular matrix gives an inverse of nans. The fits use this, not
-    ``np.linalg.inv``, whose first LAPACK call adds about 1.3 MB to a
-    solve's peak memory.
+    LAPACK, whose first call adds about 1.3 MB to a solve's peak memory.
     """
     n = len(a)
     rows = [list(row) + [float(i == r) for i in range(n)] for r, row in enumerate(a)]
@@ -295,25 +297,36 @@ def _inverse(a: list) -> list:
 
 
 def power_fit(points: np.ndarray, exponents) -> tuple[list[float], np.ndarray]:
-    """(powers kept, inverse) of fitting sum_q c_q (p/p_J)^q to samples at the first J points.
+    """(powers kept, inverse) of fitting sum_q c_q p^q to samples at the first J points.
 
     J is the number of powers kept: the prefix of ``exponents`` grows one
     power at a time while its matrix of powers, scaled to 1 at the J-th
     point, has a condition number (in the max-row-sum norm) of at most
     ``_FIT_COND``; the scaling keeps it independent of the grid step. Row
-    q of the inverse maps the J samples to c_q.
+    q of the inverse maps the J samples to c_q, the coefficient of the
+    unscaled p^q.
     """
     exponents = [float(q) for q in exponents]
-    kept, inverse = [], []
+    kept, inverse, scale = [], [], 1.0
     for j in range(1, min(len(exponents), len(points)) + 1):
         at = points[:j].tolist()
-        powers = [[(p / (at[-1] or 1.0)) ** q for q in exponents[:j]] for p in at]
+        unit = at[-1] or 1.0
+        powers = [[(p / unit) ** q for q in exponents[:j]] for p in at]
         trial = _inverse(powers)
         norm = max(sum(map(abs, row)) for row in powers)
         if not norm * max(sum(map(abs, row)) for row in trial) <= _FIT_COND:  # nan too
             break
-        kept, inverse = exponents[:j], trial
-    return kept, np.array(inverse).reshape(len(kept), len(kept))
+        kept, inverse, scale = exponents[:j], trial, unit
+    inverse = np.array(inverse).reshape(len(kept), len(kept))
+    return kept, inverse / scale ** np.array(kept)[:, None]
+
+
+def _cached(grid: Grid, key: tuple, build: Callable[[], object]):
+    """The grid's cached entry for ``key``, built by ``build()`` on first use."""
+    found = grid._weights.get(key)
+    if found is None:
+        found = grid._weights.setdefault(key, build())
+    return found
 
 
 def node_fit(
@@ -323,11 +336,8 @@ def node_fit(
 
     Cached on the grid for each ``(exponents, first, shift)``.
     """
-    key = ("fit", tuple(exponents), first, float(shift))
-    found = grid._weights.get(key)
-    if found is None:
-        found = grid._weights.setdefault(key, power_fit(grid.x[first:] - shift, exponents))
-    return found
+    return _cached(grid, ("fit", tuple(exponents), first, float(shift)),
+                   lambda: power_fit(grid.x[first:] - shift, exponents))
 
 
 def probe(
@@ -374,7 +384,7 @@ def probe(
             if off.size and not (gamma == 1.0 and q == round(q)):
                 at = xq[off]
                 shown = np.interp(at, x_nodes, x_nodes ** (q + 1.0 - gamma)) * scale[off]
-                terms.append((row * to_u / x_nodes[j - 1] ** q, at ** q - shown))
+                terms.append((row * to_u, at ** q - shown))
 
     def apply(w_nodes: np.ndarray) -> np.ndarray:
         out = np.empty(np.shape(w_nodes)[:-1] + shape)
@@ -487,55 +497,13 @@ def _power_rule(alpha: float, sigma: float, x: np.ndarray) -> np.ndarray:
     return _gamma(sigma) / _gamma(alpha + sigma) * x ** (alpha + sigma - 1.0)
 
 
-def _power_residuals(alpha: float, x: np.ndarray, kernel, sigmas, shifts) -> np.ndarray:
-    """(J, N+1): the power rule minus the product trapezoid of (x - shift)_+^(sigma-1), per row.
-
-    Row j takes ``sigmas[j]`` and ``shifts[j]``; all rows share one
-    quadrature call. Nodes at or left of a row's shift carry the sample 0
-    (so the power 0 is a unit step just right of it), and the row is
-    exactly 0 there.
-    """
-    basis = np.zeros((len(sigmas), x.size))
-    residual = np.zeros_like(basis)
-    firsts = np.searchsorted(x, shifts, side="right")  # the first node right of each shift
-    for row, res, sigma, shift, k in zip(basis, residual, sigmas, shifts, firsts.tolist()):
-        y = x[k:] - shift
-        row[k:] = np.power(y, sigma - 1.0)  # not **, which takes sqrt at a scalar 1/2
-        res[k:] = _power_rule(alpha, sigma, y)
-    trapezoid = _product_trapezoid(alpha, x, kernel, basis)
-    for res, rule, k in zip(residual, trapezoid, firsts.tolist()):
-        res[k:] -= rule[k:]
-    return residual
-
-
-def _starting_weights(alpha: float, x: np.ndarray, rho: float, kernel) -> np.ndarray:
-    """Starting weights as a (J, N) matrix: row e weights the sample w[e+1] at x_1..x_N.
-
-    The product trapezoid, with the sample at x=0 set to 0, plus these
-    weights integrates each x^(rho-1+e), e in {0, alpha, 2 alpha}, exactly
-    at every node (Lubich's correction; J = min(3, N)). The weights are
-    S = V^-1 R, where R holds the power rule minus the trapezoid for each
-    power at x_1..x_N and V the powers at x_1..x_J; each power is scaled
-    to 1 at x_J, which keeps V's condition number independent of h.
-    """
-    j = min(3, x.size - 1)
-    sigmas = rho + alpha * np.arange(j)  # e = 0, alpha, 2 alpha
-    residual = _power_residuals(alpha, x, kernel, sigmas, np.zeros(j))[:, 1:]
-    powers = x[1 : j + 1] ** (sigmas[:, None] - 1.0)  # row e: x_1..x_J
-    scale = 1.0 / powers[:, -1]
-    return np.linalg.inv(powers * scale[:, None]) @ (residual * scale[:, None])
-
-
-def _grid_weights(grid: Grid, alpha: float, rho: Optional[float]) -> tuple:
-    """(uniform kernel or None, starting weights or None) of I^alpha on grid, cached on it."""
-    found = grid._weights.get((alpha, rho))
-    if found is None:
-        x = grid.x
-        kernel = (_uniform_spectra(alpha, float(np.diff(x).mean()), x.size - 1)
-                  if grid.psi_uniform else None)
-        start = None if rho is None else _starting_weights(alpha, x, rho, kernel)
-        found = grid._weights.setdefault((alpha, rho), (kernel, start))
-    return found
+def _kernel(grid: Grid, alpha: float):
+    """The kernel of I^alpha (:func:`_uniform_spectra`) on a psi-uniform grid, else None."""
+    if not grid.psi_uniform:
+        return None
+    x = grid.x
+    return _cached(grid, ("kernel", alpha),
+                   lambda: _uniform_spectra(alpha, float(np.diff(x).mean()), x.size - 1))
 
 
 def power_columns(grid: Grid, alpha: float, terms) -> np.ndarray:
@@ -545,35 +513,42 @@ def power_columns(grid: Grid, alpha: float, terms) -> np.ndarray:
     of the j-th pair by the power rule minus the product trapezoid of its
     samples, at every node: adding c times it to the rule makes the rule
     exact on a term c (x - shift)_+^q of the integrand. The samples are 0
-    at and left of ``shift``, so the power 0 is a unit jump just right of
-    it. All rows take one quadrature call, which on a grid that is not
-    psi-uniform shares each block's panel moments. On a psi-uniform grid
-    the rule is translation invariant: the columns at a node x_k are those
-    at 0 moved k nodes on. Like the kernel spectrum, the columns are built
-    on first use for each ``(alpha, terms)`` and reused by every later call.
+    at and left of ``shift``, and so is the row, so the power 0 is a unit
+    jump just right of it. All rows take one quadrature call, which on a
+    grid that is not psi-uniform shares each block's panel moments. Like
+    the kernel spectrum, the columns are built on first use for each
+    ``(alpha, terms)`` and reused by every later call.
     """
     terms = tuple((float(q), float(shift)) for q, shift in terms)
-    key = ("columns", float(alpha), terms)
-    found = grid._weights.get(key)
-    if found is None:
-        kernel, _ = _grid_weights(grid, float(alpha), None)
-        sigmas, shifts = (np.array(column) for column in zip(*terms))
-        columns = _power_residuals(alpha, grid.x, kernel, sigmas + 1.0, shifts)
-        found = grid._weights.setdefault(key, columns)
-    return found
+
+    def build() -> np.ndarray:
+        x = grid.x
+        # the first node right of each shift
+        firsts = np.searchsorted(x, [shift for _, shift in terms], side="right").tolist()
+        basis = np.zeros((len(terms), x.size))
+        for row, (q, shift), k in zip(basis, terms, firsts):
+            row[k:] = np.power(x[k:] - shift, q)  # not **, which takes sqrt at a scalar 1/2
+        columns = -_product_trapezoid(alpha, x, _kernel(grid, float(alpha)), basis)
+        for column, (q, shift), k in zip(columns, terms, firsts):
+            column[:k] = 0.0
+            column[k:] += _power_rule(alpha, q + 1.0, x[k:] - shift)
+        return columns
+
+    return _cached(grid, ("columns", float(alpha), terms), build)
 
 
 class Correction(NamedTuple):
-    """Columns added to a product-trapezoid integral, with coefficients read from its samples.
+    """Columns added to a product-trapezoid integral, with coefficients fitted to its samples.
 
-    The coefficient of ``columns[c]`` is ``sum_m fit[c, m] samples[nodes[m]]``,
-    or ``samples[nodes[c]]`` itself when ``fit`` is None (the starting
-    weights of the origin hint); column c adds from node ``first`` on.
+    The coefficient of ``columns[c]`` is ``sum_m fit[c, m] samples[nodes[m]]``;
+    column c adds from node ``first`` on. The origin hint of
+    :func:`frac_integral_grid` and the solver's fits at the origin and at
+    a delay's breaking point all take this form.
     """
 
     first: int
     nodes: np.ndarray
-    fit: Optional[np.ndarray]
+    fit: np.ndarray
     columns: np.ndarray
 
 
@@ -586,13 +561,26 @@ def add_corrections(out: np.ndarray, samples: np.ndarray, corrections) -> None:
     rounds as alone.
     """
     for first, nodes, fit, columns in corrections:
-        coefs = samples[..., nodes]
-        if fit is not None:
-            coefs = np.cumsum(coefs[..., None, :] * fit, axis=-1)[..., -1]
+        coefs = np.cumsum(samples[..., nodes][..., None, :] * fit, axis=-1)[..., -1]
         rows = out.reshape(-1, out.shape[-1])
         for row, coef in zip(rows, coefs.reshape(-1, len(columns)).tolist()):
             for column, c in zip(columns, coef):
                 row[first:] += column * c
+
+
+def _origin_hint(grid: Grid, alpha: float, rho: float) -> Correction:
+    """The :class:`Correction` of the origin hint ``rho``, cached on the grid per ``(alpha, rho)``.
+
+    It fits x^(rho-1+e), e in {0, alpha, 2 alpha}, to the samples at
+    x_1..x_J (:func:`node_fit`) and adds their columns
+    (:func:`power_columns`) from node 1 on.
+    """
+    def build() -> Correction:
+        kept, fit = node_fit(grid, [rho - 1.0 + e for e in (0.0, alpha, 2.0 * alpha)], 1)
+        columns = power_columns(grid, alpha, [(q, 0.0) for q in kept])
+        return Correction(1, np.arange(1, len(kept) + 1), fit, columns[:, 1:])
+
+    return _cached(grid, ("hint", alpha, rho), build)
 
 
 def frac_integral_grid(
@@ -614,16 +602,19 @@ def frac_integral_grid(
     node), else :class:`GridError`. When ``grid.psi_uniform`` holds, the
     weights are translation invariant and the integral is an FFT
     convolution; otherwise the panels are summed blockwise at O(N^2) cost.
-    The kernel spectrum and the starting weights depend on the grid and the
-    orders only: the first call on a grid builds them and later calls with
-    the same ``(alpha, origin_exponent)`` reuse them. The result is a new array.
+    The kernel spectrum and the hint's correction depend on the grid and
+    the orders only: the first call on a grid builds them and later calls
+    with the same ``alpha`` and ``(alpha, origin_exponent)`` reuse them.
+    The result is a new array.
 
     ``origin_exponent=rho`` (in (0, 2); 1 means no hint) declares that the
     integrand behaves like ``x^(rho-1) (c0 + c1 x^alpha + c2 x^(2 alpha) + ...)``
-    near the origin. The sample at t=0 is then taken as 0, and starting
-    weights on the samples at x_1..x_J, J = min(3, N), make the rule exact
-    on ``x^(rho-1+e)`` for e in {0, alpha, 2 alpha}. Without the hint, the
-    node-0 sample participates in the first panel like any other.
+    near the origin. The sample at t=0 is then taken as 0, and a
+    :class:`Correction` fitted to the samples at x_1..x_J makes the rule
+    exact on ``x^(rho-1+e)`` for e in {0, alpha, 2 alpha}: J = 3, or fewer
+    where N < 3 or the fit's condition bound drops powers (below alpha of
+    about 0.007 it keeps e = 0 and alpha). Without the hint, the node-0
+    sample participates in the first panel like any other.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"frac_integral_grid requires alpha in (0, 1], got {alpha!r}")
@@ -641,14 +632,14 @@ def frac_integral_grid(
     if psi.shifted(grid.horizon) != x[-1]:
         raise GridError("psi does not match the grid's x coordinates")
     rho = None if origin_exponent is None or origin_exponent == 1.0 else float(origin_exponent)
-    kernel, start = _grid_weights(grid, float(alpha), rho)
-    if start is None:
+    kernel = _kernel(grid, float(alpha))
+    if rho is None:
         out = _product_trapezoid(alpha, x, kernel, w)
     else:
         data = w.copy()
         data[..., 0] = 0.0
         out = _product_trapezoid(alpha, x, kernel, data)
-        add_corrections(out, w, [Correction(1, np.arange(1, len(start) + 1), None, start)])
+        add_corrections(out, w, [_origin_hint(grid, float(alpha), rho)])
 
     out[..., 0] = 0.0
     return out

@@ -79,6 +79,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="delay map g must be finite"):
             validate_problem(bad)
 
+    def test_non_finite_history_rejected(self, worked_problem):
+        def nan_early(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t < -0.25, np.nan, np.cos(t))
+
+        bad = replace(worked_problem, phi=nan_early)
+        with pytest.raises(ValueError, match="phi must be finite on \\[-r, 0\\]"):
+            validate_problem(bad)
+
     def test_scalar_bounds(self, worked_problem):
         with pytest.raises(ValueError):
             DelayFFIDE(

@@ -338,7 +338,7 @@ class TestFracIntegral:
         def refuse(*args):
             raise AssertionError("starting weights rebuilt")
 
-        monkeypatch.setattr(psi_calculus, "_starting_weights", refuse)
+        monkeypatch.setattr(psi_calculus, "power_columns", refuse)
         again = frac_integral_grid(0.5, psi, second, grid, 0.75)
         assert np.array_equal(again, expected[(0.5, 0.75)])
         frac_integral_grid(0.5, psi, second, grid)  # no origin model, no starting weights
@@ -366,6 +366,22 @@ class TestFracIntegral:
                 ref = power_rule_reference(alpha, rho + e, psi, grid.nodes[1:])
                 assert sup_rel(got[1:], ref) <= 1e-13, (n, e)
 
+    def test_small_order_hint(self, identity_psi):
+        # below alpha ~ 0.007 the fit's condition bound keeps two of the three hinted
+        # powers: the rule stays exact on those, and x^(rho-1) e^x errs by 5.7e-6
+        alpha, rho = 0.005, 0.75
+        grid = make_grid(identity_psi, 1.0, 2000, 0.5)
+        x = grid.x
+        for e in (0.0, alpha):
+            samples = np.zeros_like(x)
+            samples[1:] = x[1:] ** (rho - 1.0 + e)
+            got = frac_integral_grid(alpha, identity_psi, samples, grid, rho)
+            ref = power_rule_reference(alpha, rho + e, identity_psi, grid.nodes[1:])
+            assert sup_rel(got[1:], ref) <= 1e-13, e
+        samples = power_samples(identity_psi, grid, rho) * np.exp(x)
+        got = frac_integral_grid(alpha, identity_psi, samples, grid, rho)
+        assert sup_rel(got[1:], power_exp_integral(alpha, rho, x[1:])) <= 8e-6
+
     def test_nonuniform_grid_path(self):
         # uniform-in-t nodes under a nonlinear psi exercise the general panel sum
         psi = ORACLE_PSIS["exponential"]
@@ -373,6 +389,43 @@ class TestFracIntegral:
         got = frac_integral_grid(0.5, psi, power_samples(psi, grid, 1.5), grid)
         ref = power_rule_reference(0.5, 1.5, psi, grid.nodes)
         assert sup_rel(got[1:], ref[1:]) <= 2e-3
+
+
+class TestPowerFit:
+    @pytest.mark.parametrize("uniform_in", ["psi", "t"])
+    @pytest.mark.parametrize("alpha", [0.001, 0.1, 0.5])
+    def test_rows_recover_the_coefficients(self, uniform_in, alpha):
+        # row q of node_fit maps samples of sum_q c_q (x - shift)^q to c_q itself: at the
+        # origin, past a shift on node 4 and past one between nodes 4 and 5
+        grid = make_grid(ORACLE_PSIS["exponential"], 1.0, 400, 0.5, uniform_in=uniform_in)
+        x = grid.x
+        rng = np.random.default_rng(7)
+        for first, shift in ((0, 0.0), (5, x[4]), (6, 0.5 * (x[4] + x[5]))):
+            kept, fit = psi_calculus.node_fit(grid, psi_calculus.power_exponents(alpha),
+                                              first, shift)
+            coefs = rng.uniform(0.5, 2.0, len(kept))
+            y = x[first : first + len(kept)] - shift
+            samples = (y[:, None] ** np.array(kept) * coefs).sum(axis=1)
+            assert sup_rel(fit @ samples, coefs) <= 1e-10, (first, kept)
+
+    def test_powers_kept(self):
+        # every power for alpha >= 1/2, five at alpha = 0.3, four at 0.01 and 0.001, and
+        # never more than six, on psi- and t-uniform grids of 200 to 4000 intervals
+        alphas = [0.001, *np.round(np.arange(0.005, 1.0, 0.005), 3).tolist(), 1.0]
+        for psi in ORACLE_PSIS.values():
+            for n in (200, 1000, 4000):
+                for uniform_in in ("psi", "t"):
+                    grid = make_grid(psi, 1.0, n, 0.5, uniform_in=uniform_in)
+                    for alpha in alphas:
+                        offered = psi_calculus.power_exponents(alpha)
+                        kept, _ = psi_calculus.node_fit(grid, offered)
+                        assert len(kept) <= 6, alpha
+                        if alpha >= 0.5:
+                            assert kept == offered, alpha
+                        if alpha in (0.001, 0.01):
+                            assert len(kept) == 4, alpha
+                        if alpha == 0.3:
+                            assert kept == pytest.approx([0.0, 1.0, 0.3, 0.6, 0.9]), kept
 
 
 class TestPowerRuleReference:
