@@ -571,12 +571,13 @@ def add_corrections(out: np.ndarray, samples: np.ndarray, corrections) -> None:
 def _origin_hint(grid: Grid, alpha: float, rho: float) -> Correction:
     """The :class:`Correction` of the origin hint ``rho``, cached on the grid per ``(alpha, rho)``.
 
-    It fits x^(rho-1+e), e in {0, alpha, 2 alpha}, to the samples at
-    x_1..x_J (:func:`node_fit`) and adds their columns
+    It fits x^(rho-1+e), e in {0, alpha, 1, 2 alpha} in increasing order, to
+    the samples at x_1..x_J (:func:`node_fit`) and adds their columns
     (:func:`power_columns`) from node 1 on.
     """
     def build() -> Correction:
-        kept, fit = node_fit(grid, [rho - 1.0 + e for e in (0.0, alpha, 2.0 * alpha)], 1)
+        offsets = sorted({0.0, alpha, 1.0, 2.0 * alpha})
+        kept, fit = node_fit(grid, [rho - 1.0 + e for e in offsets], 1)
         columns = power_columns(grid, alpha, [(q, 0.0) for q in kept])
         return Correction(1, np.arange(1, len(kept) + 1), fit, columns[:, 1:])
 
@@ -611,10 +612,12 @@ def frac_integral_grid(
     integrand behaves like ``x^(rho-1) (c0 + c1 x^alpha + c2 x^(2 alpha) + ...)``
     near the origin. The sample at t=0 is then taken as 0, and a
     :class:`Correction` fitted to the samples at x_1..x_J makes the rule
-    exact on ``x^(rho-1+e)`` for e in {0, alpha, 2 alpha}: J = 3, or fewer
-    where N < 3 or the fit's condition bound drops powers (below alpha of
-    about 0.007 it keeps e = 0 and alpha). Without the hint, the node-0
-    sample participates in the first panel like any other.
+    exact on ``x^(rho-1+e)`` for e in {0, alpha, 1, 2 alpha}, the offset 1
+    being a smooth cofactor's linear term: J = 4 (3 at alpha = 1/2 and 1),
+    or fewer where N < J or the fit's condition bound drops powers (below
+    alpha of about 0.008 it keeps e = 0 and alpha; up to about 0.026 it
+    drops e = 1). Without the hint, the node-0 sample participates in the
+    first panel like any other.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"frac_integral_grid requires alpha in (0, 1], got {alpha!r}")

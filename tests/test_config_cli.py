@@ -601,6 +601,29 @@ class TestCmdStability:
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_profile_files_equal_their_write_alone(self, tmp_path, monkeypatch, fmt):
+        # the run writes its ratio profiles together, from one row buffer per chunk in CSV;
+        # each file must hold its own ratios in full, none of another file's bytes
+        reports = []
+
+        def recorded(*args, **kwargs):
+            reports.extend(verify_uhml(*args, **kwargs))
+            return reports
+
+        monkeypatch.setattr(hilferlab.cli, "verify_uhml", recorded)
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        path = write_config(tmp_path, WORKED_CONFIG, out=str(out), fmt=fmt, seed=0)
+        assert main(["stability", "--config", path, "--grid", "150"]) == 0
+        alone.mkdir()
+        for report in reports:
+            stem = f"ratio_profile_{report.shape}_{report.epsilon:g}"
+            _write(str(alone), stem, ["t", "ratio"],
+                   [[report.profile_times, report.ratio_profile]], fmt)
+            name = f"{stem}.{fmt}"
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+        assert len(reports) == 6
+
     def test_seed_override(self, tmp_path):
         # --seed 7 is the config's seed = 7: same bytes, and another smooth_random profile
         runs, seven = {}, STABILITY_CONFIG.replace("seed = 42", "seed = 7")

@@ -211,10 +211,12 @@ class TestFracIntegral:
             frac_integral_grid(0.5, identity_psi, bad, grid)
 
     @pytest.mark.parametrize("psi_name", sorted(INVARIANT_PSIS))
-    @pytest.mark.parametrize("alpha,sigma", [(0.5, 0.875), (0.25, 1.25), (0.9, 1.625)])
+    @pytest.mark.parametrize("alpha,sigma",
+                             [(0.5, 0.875), (0.25, 1.25), (0.75, 1.25), (0.9, 1.625)])
     def test_power_rule_oracle(self, psi_name, alpha, sigma):
         # the hinted rule integrates the power x^(sigma-1) exactly, so the
-        # integrand x^(sigma-1) e^x carries the terms it only approximates
+        # integrand x^(sigma-1) e^x carries the terms it only approximates; with
+        # x^sigma among the hint's powers the error falls at second order
         psi = INVARIANT_PSIS[psi_name]
         errs = {}
         for n in (1000, 2000):
@@ -224,7 +226,7 @@ class TestFracIntegral:
             got = frac_integral_grid(alpha, psi, samples, grid, power_hint(sigma))
             errs[n] = sup_rel(got[1:], power_exp_integral(alpha, sigma, x[1:]))
         assert errs[2000] <= 1e-3
-        assert errs[2000] < errs[1000]
+        assert errs[1000] / errs[2000] >= 3.5
 
     @pytest.mark.parametrize("psi_name", sorted(INVARIANT_PSIS))
     def test_semigroup(self, psi_name):
@@ -353,13 +355,13 @@ class TestFracIntegral:
     @pytest.mark.parametrize("uniform_in", ["psi", "t"])
     @pytest.mark.parametrize("alpha,rho", [(0.5, 0.75), (0.25, 0.5), (0.9, 1.125)])
     def test_starting_weights_exact_on_basis(self, uniform_in, alpha, rho):
-        # the hinted rule integrates x^(rho-1+e), e in {0, alpha, 2 alpha}, exactly on
+        # the hinted rule integrates x^(rho-1+e), e in {0, alpha, 1, 2 alpha}, exactly on
         # both quadrature paths; at N = 2 only the first two exponents fit
         psi = ORACLE_PSIS["exponential"]
         for n in (2, 400):
             grid = make_grid(psi, 1.0, n, 0.5, uniform_in=uniform_in)
             assert grid.psi_uniform == (uniform_in == "psi")
-            for e in (0.0, alpha, 2.0 * alpha)[:n]:
+            for e in sorted({0.0, alpha, 1.0, 2.0 * alpha})[:n]:
                 samples = np.full_like(grid.x, 7.0)  # the sample at x = 0 is ignored
                 samples[1:] = grid.x[1:] ** (rho - 1.0 + e)
                 got = frac_integral_grid(alpha, psi, samples, grid, rho)
@@ -367,7 +369,7 @@ class TestFracIntegral:
                 assert sup_rel(got[1:], ref) <= 1e-13, (n, e)
 
     def test_small_order_hint(self, identity_psi):
-        # below alpha ~ 0.007 the fit's condition bound keeps two of the three hinted
+        # below alpha ~ 0.008 the fit's condition bound keeps two of the four hinted
         # powers: the rule stays exact on those, and x^(rho-1) e^x errs by 5.7e-6
         alpha, rho = 0.005, 0.75
         grid = make_grid(identity_psi, 1.0, 2000, 0.5)
