@@ -223,14 +223,14 @@ def _g17(values: np.ndarray) -> np.ndarray:
 def _csv_rows(columns: list[np.ndarray]):
     """CSV rows of byte columns and float arrays (formatted by :func:`_g17`), in chunks.
 
-    A byte column is a NUL-padded byte matrix with one row per CSV row, or one
-    row that every CSV row shares. A float column is one value per row, or a
-    (rows, files) array that gives each of several files its own values; the
-    files share every other column. Each chunk lays the shared cells and the
-    separators, broadcast to the chunk's rows, into one row buffer side by
-    side; then each file formats its own floats into their slots, which they
-    fill whole. The buffer's non-NUL bytes, row by row, are then that file's
-    chunk of text. Texts come chunk by chunk, each chunk file by file.
+    A byte column is one NUL-padded row of bytes that every CSV row shares. A
+    float column is one value per row, or a (rows, files) array that gives
+    each of several files its own values; the files share every other column.
+    Each chunk lays the shared cells and the separators, broadcast to the
+    chunk's rows, into one row buffer side by side; then each file formats its
+    own floats into their slots, which they fill whole. The buffer's non-NUL
+    bytes, row by row, are then that file's chunk of text. Texts come chunk by
+    chunk, each chunk file by file.
     """
     floats = [c for c in columns if c.dtype.kind == "f"]
     shared = [c for c in floats if c.ndim == 1]
@@ -250,8 +250,6 @@ def _csv_rows(columns: list[np.ndarray]):
                 c = _EMPTY_CELL
             elif c.dtype.kind == "f":
                 c = next(cells)
-            elif len(c) > 1:
-                c = c[lo:lo + r]
             parts += [c, _SEPARATORS[0]]
             width += c.shape[1] + 1
         parts[-1] = _SEPARATORS[1]
@@ -270,7 +268,7 @@ def _tokens(values: np.ndarray) -> list[str]:
 
 
 def _csv_column(cell) -> np.ndarray:
-    """A block's cell as :func:`_csv_rows` takes it: arrays as they are, else one shared cell."""
+    """A block's cell as :func:`_csv_rows` takes it: a float array as it is, else a shared cell."""
     if isinstance(cell, np.ndarray):
         return cell
     return np.frombuffer(_fmt(cell).encode(), np.uint8)[None]
@@ -281,15 +279,13 @@ def _write(out_dir: str, stem: str | list[str], header: list[str], blocks: list[
     """Write rows to <stem>.<fmt> in the existing ``out_dir`` (JSON as ``json.dump(rows,
     indent=2)`` lays them out); each command creates its directory once.
 
-    A block of rows has one cell per column: a float array, ready-made cells (in
-    CSV the byte matrix :func:`_g17` returns, in JSON a list of :func:`_tokens`
-    strings), or one value all its rows share. ``stem`` may also be a list of
-    stems: the files then share every cell but the (rows, files) float arrays,
-    whose column f goes to file f. In CSV a float array goes through
-    :func:`_g17`, a shared value through :func:`_fmt` (for a float the same
-    ``%.17g`` bytes), and :func:`_csv_rows` writes each chunk of rows as one byte
-    matrix, laying out the shared cells once for all the files. In JSON a block
-    is one ``%`` fill of a row template.
+    A block of rows has one cell per column: a float array, or one value all its
+    rows share. ``stem`` may also be a list of stems: the files then share every
+    cell but the (rows, files) float arrays, whose column f goes to file f. In
+    CSV a float array goes through :func:`_g17`, a shared value through
+    :func:`_fmt` (for a float the same ``%.17g`` bytes), and :func:`_csv_rows`
+    writes each chunk of rows as one byte matrix, laying out the shared cells
+    once for all the files. In JSON a block is one ``%`` fill of a row template.
     """
     stems = [stem] if isinstance(stem, str) else stem
     paths = [os.path.join(out_dir, f"{s}.{fmt}") for s in stems]
@@ -349,16 +345,14 @@ def cmd_check(args) -> int:
     certified = report.theta_ok
     print(f"certified: {'yes (theta)' if certified else 'no'}")
 
-    header = [
-        "theta", "theta_ok", "bielecki_lhs", "bielecki_ok", "zeta", "zeta_inf",
-        "delta_used", "lipschitz_f", "lipschitz_h", "certified",
-    ]
-    row = [
-        report.theta, report.theta_ok, report.bielecki_lhs, report.bielecki_ok,
-        report.zeta, report.zeta_inf, report.delta_used, lip_f, lip_h, certified,
-    ]
+    columns = {
+        "theta": report.theta, "theta_ok": report.theta_ok,
+        "bielecki_lhs": report.bielecki_lhs, "bielecki_ok": report.bielecki_ok,
+        "zeta": report.zeta, "zeta_inf": report.zeta_inf, "delta_used": report.delta_used,
+        "lipschitz_f": lip_f, "lipschitz_h": lip_h, "certified": certified,
+    }
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write(cfg.out_dir, "hypotheses", header, [row], cfg.out_format)
+    _write(cfg.out_dir, "hypotheses", list(columns), [list(columns.values())], cfg.out_format)
     return _EXIT_OK if certified else _EXIT_UNCERTIFIED
 
 
@@ -584,7 +578,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return _EXIT_DIVERGED
-    except HilferLabError as exc:
+    except (HilferLabError, OverflowError) as exc:  # overflow: a value beyond float64
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

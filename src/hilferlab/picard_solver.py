@@ -119,7 +119,6 @@ class SolveResult:
     residual_history: list[float]
     converged: bool
     theta: float
-    certified_by: Optional[str] = None
 
     @property
     def iterations(self) -> int:
@@ -131,6 +130,11 @@ class SolveResult:
         res = self.residual_history
         logs = [math.log(b / a) for a, b in zip(res, res[1:]) if a > 0.0 and b > 0.0]
         return math.exp(sum(logs) / len(logs)) if logs else math.nan
+
+    @property
+    def certified_by(self) -> Optional[str]:
+        """"theta" when Theta < 1, else None (see :func:`certify_contraction`)."""
+        return "theta" if self.theta < 1.0 else None
 
     @property
     def warning(self) -> Optional[str]:
@@ -380,14 +384,13 @@ def picard_step(problem: DelayFFIDE, traj: Trajectory, config: SolveConfig) -> T
     return replace(traj, weighted_values=w_next[1:], initial_weight=ws.w_init, phi=problem.phi)
 
 
-def certify_contraction(problem: DelayFFIDE) -> tuple[float, Optional[str]]:
-    """Evaluate Theta; returns (theta, "theta" or None).
+def certify_contraction(problem: DelayFFIDE) -> float:
+    """The constant that certifies a solve: Theta, a contraction iff < 1.
 
     The Bielecki left side grows with delta and equals Theta at delta = 0,
     so no damping certifies a problem that Theta leaves uncertified.
     """
-    theta = check_theta(problem)
-    return theta, ("theta" if theta < 1.0 else None)
+    return check_theta(problem)
 
 
 def grid_for(problem: DelayFFIDE, config: SolveConfig) -> Grid:
@@ -420,10 +423,10 @@ def solve(
     :func:`solve_stacked`.
     """
     validate_problem(problem)
-    checks = certify_contraction(problem)  # before make_grid, which a bad psi breaks
+    theta = certify_contraction(problem)  # before make_grid, which a bad psi breaks
     grid = grid_for(problem, config) if grid is None else grid
     rows = None if forcing is None else np.asarray(forcing, dtype=float)[None]
-    return _solve_rows(problem, config, grid, rows, checks)[0]
+    return _solve_rows(problem, config, grid, rows, theta)[0]
 
 
 def solve_stacked(
@@ -436,7 +439,7 @@ def solve_stacked(
     """Solve D u = F(u) + z for every row z of ``forcing`` (shape (P, N+1)) on base's grid.
 
     ``base`` is the unforced solve of ``problem``; the rows run on its
-    grid and reuse its Theta and certificate. The rows share every sweep:
+    grid and reuse its Theta. The rows share every sweep:
     one call of f on the (P, N+1) stack, one fractional integral of the
     stack, one finiteness check. A row leaves the stack at the sweep
     where its own residual reaches ``config.tol``, so each result is bit
@@ -444,7 +447,7 @@ def solve_stacked(
     non-finite iterate in any row raises :class:`DivergenceError`.
     """
     return _solve_rows(problem, config, base.trajectory.grid, np.asarray(forcing, dtype=float),
-                       (base.theta, base.certified_by))
+                       base.theta)
 
 
 def _solve_rows(
@@ -452,13 +455,12 @@ def _solve_rows(
     config: SolveConfig,
     grid: Grid,
     forcing: Optional[np.ndarray],
-    checks: tuple[float, Optional[str]],
+    theta: float,
 ) -> list[SolveResult]:
     """The one sweep loop: each row of a (P, N+1) ``forcing``, or one unforced row, to its stop."""
     if forcing is not None and forcing.shape[1:] != grid.nodes.shape:
         raise ValueError(
             f"forcing has shape {forcing.shape[1:]} per row, the nodes {grid.nodes.shape}")
-    theta, certificate = checks
     ws = _Workspace(problem, grid, config.inner_quad_nodes)
     n_rows = 1 if forcing is None else forcing.shape[0]
     w = np.full((n_rows, grid.nodes.size), ws.w_init)
@@ -493,11 +495,6 @@ def _solve_rows(
             phi=problem.phi,
             gamma=problem.order.gamma,
         )
-        results.append(SolveResult(
-            trajectory=traj,
-            residual_history=history,
-            converged=ok,
-            theta=theta,
-            certified_by=certificate,
-        ))
+        results.append(SolveResult(trajectory=traj, residual_history=history, converged=ok,
+                                   theta=theta))
     return results

@@ -89,9 +89,18 @@ class DelayFFIDE:
             raise ValueError("Lipschitz constants must be nonnegative and finite")
 
 
-def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:
+#: Points at which :func:`validate_problem` samples g on [0, b] and phi on [-r, 0].
+_VALIDATE_SAMPLES = 257
+#: Points at which :func:`estimate_zeta` samples psi' on [0, b].
+_ZETA_SAMPLES = 2049
+#: Draws and state box of the Lipschitz spot check in :func:`build_hypothesis_report`.
+_SPOT_SAMPLES = 256
+_SPOT_BOX = (-1.0, 1.0)
+
+
+def validate_problem(problem: DelayFFIDE) -> None:
     """Sampled sanity checks: g finite, g(t) <= t, g(t) >= -r, phi finite, psi' > 0."""
-    t = np.linspace(0.0, problem.b, samples)
+    t = np.linspace(0.0, problem.b, _VALIDATE_SAMPLES)
     gt = np.asarray(problem.g(t), dtype=float)
     if not np.all(np.isfinite(gt)):
         raise ValueError("delay map g must be finite on [0, b]")
@@ -103,21 +112,26 @@ def validate_problem(problem: DelayFFIDE, samples: int = 257) -> None:
         raise ValueError(
             f"delay map reaches below the history window: min g = {gt.min():g} < -r = {-problem.r:g}"
         )
-    hist = np.asarray(problem.phi(np.linspace(-problem.r, 0.0, samples)), dtype=float)
+    hist = np.asarray(problem.phi(np.linspace(-problem.r, 0.0, _VALIDATE_SAMPLES)), dtype=float)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history function phi must be finite on [-r, 0]")
-    problem.psi.deriv_bounds(0.0, problem.b)
+    estimate_zeta(problem.psi, problem.b)
 
 
-def estimate_zeta(psi: PsiFunction, b: float, n: int = 2049) -> tuple[float, float]:
+def estimate_zeta(psi: PsiFunction, b: float) -> tuple[float, float]:
     """(inf, sup) of psi' over [0, b], estimated on a uniform sample.
 
     The sup is the literal constant of the smallness hypotheses; the inf
     is reported alongside because the contraction derivation actually
     divides by psi', so a lower bound is what the proof consumes. Both
-    coincide for psi(t) = t.
+    coincide for psi(t) = t. Raises ``ValueError`` unless every sampled
+    psi' is finite and positive.
     """
-    return psi.deriv_bounds(0.0, b, n)
+    d = np.asarray(psi.deriv(np.linspace(0.0, b, _ZETA_SAMPLES)), dtype=float)
+    if not np.all(np.isfinite(d)) or not np.all(d > 0.0):
+        raise ValueError(f"psi'{psi.label and ' (' + psi.label + ')'} must be finite "
+                         f"and positive on [0.0, {b}]")
+    return float(d.min()), float(d.max())
 
 
 def check_theta(problem: DelayFFIDE, *, use_inf_deriv: bool = False) -> float:
@@ -193,29 +207,21 @@ def estimate_lipschitz(
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
     rng = np.random.default_rng(seed)
 
-    t = rng.uniform(0.0, problem.b, size=sample_count)
-    u = rng.uniform(lo, hi, size=(sample_count, 3))
-    v = rng.uniform(lo, hi, size=(sample_count, 3))
-    denom = np.sum(np.abs(u - v), axis=1)
-    keep = denom > 1e-300
-    fu = np.asarray(problem.f(t, u[:, 0], u[:, 1], u[:, 2]), dtype=float)
-    fv = np.asarray(problem.f(t, v[:, 0], v[:, 1], v[:, 2]), dtype=float)
-    ratios = np.abs(np.broadcast_to(fu - fv, denom.shape)[keep]) / denom[keep]
-    lip_f = float(ratios.max()) if ratios.size else 0.0
+    def max_ratio(fn: Callable, times: tuple, width: int) -> float:
+        u = rng.uniform(lo, hi, size=(sample_count, width))
+        v = rng.uniform(lo, hi, size=(sample_count, width))
+        denom = np.sum(np.abs(u - v), axis=1)
+        keep = denom > 1e-300
+        fu = np.asarray(fn(*times, *u.T), dtype=float)
+        fv = np.asarray(fn(*times, *v.T), dtype=float)
+        ratios = np.abs(np.broadcast_to(fu - fv, denom.shape)[keep]) / denom[keep]
+        return float(ratios.max()) if ratios.size else 0.0
 
+    lip_f = max_ratio(problem.f, (rng.uniform(0.0, problem.b, size=sample_count),), 3)
     lip_h = 0.0
     if problem.h_kernel is not None:
-        th = rng.uniform(0.0, problem.b, size=sample_count)
-        sh = th * rng.uniform(0.0, 1.0, size=sample_count)
-        a = rng.uniform(lo, hi, size=(sample_count, 2))
-        c = rng.uniform(lo, hi, size=(sample_count, 2))
-        denom_h = np.sum(np.abs(a - c), axis=1)
-        keep_h = denom_h > 1e-300
-        ha = np.asarray(problem.h_kernel(th, sh, a[:, 0], a[:, 1]), dtype=float)
-        hc = np.asarray(problem.h_kernel(th, sh, c[:, 0], c[:, 1]), dtype=float)
-        ratios_h = np.abs(np.broadcast_to(ha - hc, denom_h.shape)[keep_h]) / denom_h[keep_h]
-        lip_h = float(ratios_h.max()) if ratios_h.size else 0.0
-
+        t = rng.uniform(0.0, problem.b, size=sample_count)
+        lip_h = max_ratio(problem.h_kernel, (t, t * rng.uniform(0.0, 1.0, size=sample_count)), 2)
     return lip_f, lip_h
 
 
@@ -228,9 +234,9 @@ class HypothesisReport:
     zeta: float
     delta_used: float
     lipschitz_spot_check: tuple[float, float]
-    zeta_inf: float = float("nan")
-    theta_inf_variant: float = float("nan")
-    lipschitz_exceeds_declared: bool = False
+    zeta_inf: float
+    theta_inf_variant: float
+    lipschitz_exceeds_declared: bool
 
     @property
     def theta_ok(self) -> bool:
@@ -241,19 +247,14 @@ class HypothesisReport:
         return self.bielecki_lhs < 1.0
 
 
-def build_hypothesis_report(
-    problem: DelayFFIDE,
-    delta: float = 0.0,
-    sample_count: int = 256,
-    box: tuple[float, float] = (-1.0, 1.0),
-    seed: int = 0,
-) -> HypothesisReport:
+def build_hypothesis_report(problem: DelayFFIDE, delta: float = 0.0,
+                            seed: int = 0) -> HypothesisReport:
     """Evaluate Theta, the Bielecki left side, and the Lipschitz spot check."""
     zeta_inf, zeta_sup = estimate_zeta(problem.psi, problem.b)
     theta = check_theta(problem)
     theta_inf = check_theta(problem, use_inf_deriv=True)
     bielecki = check_bielecki(problem, delta)
-    spot = estimate_lipschitz(problem, sample_count, box, seed)
+    spot = estimate_lipschitz(problem, _SPOT_SAMPLES, _SPOT_BOX, seed)
     slack = 1e-9
     exceeds = spot[0] > problem.lip_f + slack or spot[1] > problem.lip_h + slack
     return HypothesisReport(

@@ -109,14 +109,6 @@ class PsiFunction:
             below = self.shifted(mid) < x
             lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
 
-    def deriv_bounds(self, a: float, b: float, n: int = 2049) -> tuple[float, float]:
-        """(min, max) of psi' sampled on [a, b]; feeds the zeta estimates."""
-        d = np.asarray(self.deriv(np.linspace(a, b, n)), dtype=float)
-        if not np.all(np.isfinite(d)) or not np.all(d > 0.0):
-            raise ValueError(f"psi'{self.label and ' (' + self.label + ')'} must be finite "
-                             f"and positive on [{a}, {b}]")
-        return float(d.min()), float(d.max())
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -557,15 +549,13 @@ def add_corrections(out: np.ndarray, samples: np.ndarray, corrections) -> None:
 
     ``samples`` and ``out`` are one row (N+1,) or a (P, N+1) stack. The
     fit's sums run over the nodes in order (``cumsum`` is sequential), and
-    each row then takes one multiply-add per column, so a stacked row
-    rounds as alone.
+    each column then adds to the whole stack in one multiply-add, so a
+    stacked row rounds as alone.
     """
     for first, nodes, fit, columns in corrections:
         coefs = np.cumsum(samples[..., nodes][..., None, :] * fit, axis=-1)[..., -1]
-        rows = out.reshape(-1, out.shape[-1])
-        for row, coef in zip(rows, coefs.reshape(-1, len(columns)).tolist()):
-            for column, c in zip(columns, coef):
-                row[first:] += column * c
+        for c, column in enumerate(columns):
+            out[..., first:] += coefs[..., c, None] * column
 
 
 def _origin_hint(grid: Grid, alpha: float, rho: float) -> Correction:

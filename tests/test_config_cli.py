@@ -122,6 +122,25 @@ directory = {out}
 """
 
 
+# the Mittag-Leffler envelope E_0.05(x^0.05) on exponential psi at b = 8 overflows float64
+OVERFLOW_CONFIG = """
+[problem]
+psi = exponential
+alpha = 0.05
+b = 8
+r = 0.5
+u0 = 1
+lip_f = 0
+
+[stability]
+shapes = constant
+epsilons = 1e-3
+
+[output]
+directory = {out}
+"""
+
+
 # gamma = 0.75 < 1 with exponential psi, shaped like the singular_exp_psi benchmark:
 # weighted_u differs from u and psi_t from t, so a swapped column shows
 SINGULAR_EXP_CONFIG = """
@@ -676,12 +695,18 @@ class TestCmdStability:
         assert sorted(calls) == ["certify_contraction", "estimate_zeta", "validate_problem"]
 
     def test_envelope_beyond_series_range_exits_one(self, tmp_path, capsys):
-        # exponential psi on b = 8: E_0.5(x^0.5) reaches |z| = 54.6 > 30
-        path = write_config(tmp_path, SERIES_RANGE_CONFIG, out=str(tmp_path / "out"))
-        assert main(["stability", "--config", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "|z| <= 30.0" in err
-        assert "Traceback" not in err
+        # exponential psi on b = 8: E_0.5(x^0.5) reaches |z| = 54.6 > 30, and
+        # E_0.05(x^0.05) reaches E_0.05(1.49), beyond float64
+        for name, config, message in (
+                ("range", SERIES_RANGE_CONFIG, "|z| <= 30.0"),
+                ("overflow", OVERFLOW_CONFIG, "E_{0.05,1.0}(1.49179967108")):
+            out = tmp_path / name
+            path = write_config(tmp_path, config, name=f"{name}.ini", out=str(out))
+            assert main(["stability", "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 # one short run of each command; verify-operators takes no config
@@ -783,17 +808,17 @@ class TestOutputFiles:
         assert [bytes(c).replace(b"\0", b"").decode() for c in _g17(arr)] == [
             f"{v:.17g}" for v in values]
         assert _tokens(arr) == [json.dumps(v) for v in values]
-        # a float column, the same values as ready-made cells, a literal with % in it,
-        # an empty cell; then a block of one row whose cells are all shared values
+        # a float column, a literal with % in it, an empty cell; then a block of one
+        # row whose cells are all shared values
         note = "5% of 100%s"
-        header = ["v", "cells", "note", "k"]
-        last = [values[0], "x", True, 7]
-        for fmt, cells in (("csv", _g17(arr)), ("json", _tokens(arr))):
-            _write(str(out), "rows", header, [[arr, cells, note, None], last], fmt)
-        lines = [",".join(header), *(f"{v:.17g},{v:.17g},{note}," for v in values),
-                 f"{values[0]:.17g},x,true,7"]
+        header = ["v", "note", "k"]
+        last = [values[0], True, 7]
+        for fmt in ("csv", "json"):
+            _write(str(out), "rows", header, [[arr, note, None], last], fmt)
+        lines = [",".join(header), *(f"{v:.17g},{note}," for v in values),
+                 f"{values[0]:.17g},true,7"]
         assert (out / "rows.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-        records = [dict(zip(header, [v, v, note, None])) for v in values]
+        records = [dict(zip(header, [v, note, None])) for v in values]
         expected = json.dumps([*records, dict(zip(header, last))], indent=2) + "\n"
         assert (out / "rows.json").read_bytes() == expected.encode()
 
@@ -943,3 +968,44 @@ def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     assert (tmp_path / "out" / "operator_checks.csv").is_file()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# [problem] sections spanning psi, alpha, beta, b, g, h and u0; every command must end
+# in an exit code, never in an exception, whatever the solve or the envelope meets
+ROBUSTNESS_PROBLEMS = [
+    "alpha = 0.5\nb = 1\nr = 0.5\nu0 = 1\nf = linear\nf_c1 = 0.05\nf_c2 = 0.05\n"
+    "h = linear\nh_d1 = 0.1\ng = constant_lag\ng_lag = 0.5\nphi = cosine\nlip_f = 0.05\n"
+    "lip_h = 0.1",
+    # the envelope needs E_0.05(1.49), beyond float64
+    "psi = exponential\nalpha = 0.05\nb = 8\nr = 0.5\nu0 = 1\nlip_f = 0",
+    # the envelope needs E_0.5(54.6), beyond the series range
+    "psi = exponential\nalpha = 0.5\nb = 8\nr = 0.5\nu0 = 1\nf = linear\nf_c1 = 0.05\n"
+    "g = constant_lag\ng_lag = 0.5\nphi = cosine\nlip_f = 0.05",
+    "psi = shifted_power\npsi_rho = 2\nalpha = 0.9\nbeta = 0.3\nb = 2\nr = 1\nu0 = 0\n"
+    "f = scaled_sin\nh = polynomial\nh_scale = 0.5\nh_degree = 1.5\ng = proportional_lag\n"
+    "g_scale = 0.5\ng_lag = 0.1\nphi = linear\nphi_slope = 1\nlip_f = 1\nlip_h = 0.5",
+    "psi = exponential\nalpha = 0.3\nbeta = 0\nb = 0.1\nr = 0.5\nu0 = -2\nf = linear\n"
+    "f_c0 = 1\nf_c1 = 0.5\nlip_f = 0.5",
+    # uncertified: Theta far above 1
+    "alpha = 0.75\nbeta = 0.5\nb = 4\nr = 1\nu0 = 1\nf = linear\nf_c1 = 3\n"
+    "g = constant_lag\ng_lag = 1\nphi = cosine\nlip_f = 3",
+    # delayed negative feedback; the stability constant needs E_{1,1.5}(36.1)
+    "alpha = 0.5\nb = 2\nr = 0.5\nu0 = 1\nf = linear\nf_c1 = -8\ng = constant_lag\n"
+    "g_lag = 0.5\nphi = cosine\nlip_f = 8",
+    "alpha = 0.2\nbeta = 0.8\nb = 0.5\nr = 0.25\nu0 = 0.5\nf = linear\nf_c2 = 0.2\n"
+    "f_c3 = 0.2\nh = linear\nh_d0 = 1\nh_d2 = 0.3\ng = constant_lag\ng_lag = 0.25\n"
+    "phi = constant\nphi_value = 2\nlip_f = 0.2\nlip_h = 0.3",
+]
+
+
+def test_cli_ends_every_run_with_an_exit_code(tmp_path, capsys):
+    prefixes = ("config error: ", "solver divergence: ", "error: ")
+    for i, problem in enumerate(ROBUSTNESS_PROBLEMS):
+        text = (f"[problem]\n{problem}\n\n[stability]\nshapes = constant, sinusoid\n"
+                f"epsilons = 1e-3\n\n[output]\ndirectory = {tmp_path / str(i)}\n")
+        path = tmp_path / f"{i}.ini"
+        path.write_text(text)
+        for command in ("check", "solve", "stability"):
+            assert main([command, "--config", str(path), "--grid", "64"]) in (0, 1, 2, 3)
+            err = capsys.readouterr().err.splitlines()
+            assert err == [] or (len(err) == 1 and err[0].startswith(prefixes)), (i, err)

@@ -20,8 +20,8 @@ from hilferlab import (
     solve,
     trajectory_values,
 )
-from hilferlab.picard_solver import _Workspace, grid_for
-from hilferlab.psi_calculus import power_exponents, probe
+from hilferlab.picard_solver import _Workspace, _breaking_point, grid_for
+from hilferlab.psi_calculus import node_fit, power_exponents, probe
 
 from conftest import delay_steps_solution, make_linear_problem, ml_series
 
@@ -591,6 +591,33 @@ class TestSecondOrder:
 
         errors = sup_errors(problem, exact)
         assert np.all(errors[:-1] / errors[1:] >= 3.5), errors
+
+    def test_alpha_near_one_needs_no_columns(self):
+        # at alpha = 1 - 1e-6 the power x^alpha is too close to x for a well-conditioned
+        # fit, so the fits at 0 and at xi keep only integer powers, which the product
+        # trapezoid already integrates to second order: no correction column is added
+        alpha = 1.0 - 1e-6
+        c1, c2 = UHML_SEED1
+        problem = DelayFFIDE(
+            order=FractionalOrder(alpha=alpha, beta=1.0),
+            psi=catalog.make_psi("identity"),
+            f=catalog.make_f("linear", c1=c1, c2=c2),
+            h_kernel=None,
+            g=catalog.make_g("constant_lag", lag=0.5),
+            phi=catalog.make_phi("cosine"),
+            u0=1.0, b=1.0, r=0.5, lip_f=c2,
+        )
+        for n in (200, 400, 800):
+            grid = grid_for(problem, SolveConfig(grid_size=n))
+            ws = _Workspace(problem, grid, 64)
+            x_xi, k = _breaking_point(problem, grid, np.asarray(problem.g(grid.nodes)))
+            kept = node_fit(grid, [q for q in power_exponents(alpha) if q > 0.0], k, x_xi)[0]
+            assert all(q == round(q) for q in (*ws.origin_powers, *kept))
+            assert ws.corrections == []
+        errors = sup_errors(problem, partial(delay_steps_solution, alpha, c1, c2, 0.5, 1.0),
+                            sizes=(200, 400, 800))
+        assert np.all(errors[:-1] / errors[1:] >= 3.5), errors
+        assert errors[-1] <= 4e-9
 
     @pytest.mark.parametrize("alpha", [0.01, 1e-3])
     def test_small_alpha_solves_quickly(self, alpha):

@@ -16,6 +16,7 @@ from hilferlab import (
     Trajectory,
     bielecki_norm,
     catalog,
+    estimate_zeta,
     eval_F,
     frac_integral_grid,
     hilfer_derivative_grid,
@@ -713,7 +714,7 @@ _CUBIC_PSI = PsiFunction(fn=lambda t: np.asarray(t, dtype=float) ** 3,
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda psi, problem: _CUBIC_PSI.deriv_bounds(0.0, 1.0),
+    pytest.param(lambda psi, problem: estimate_zeta(_CUBIC_PSI, 1.0),
                  "must be finite and positive", id="psi-deriv-zero"),
     pytest.param(lambda psi, problem: Grid(nodes=np.array([0.0, 0.5, 1.0]),
                                            history_nodes=np.array([-1.0, -0.25, -0.5, 0.0]),
